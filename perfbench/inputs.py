@@ -4,7 +4,7 @@ Everything here is a pure function of ``(seed, corpus size)``: the page
 corpus (``fixtures.write_pages_parquet``), the query stream
 (``fixtures.make_query_set`` rendered as classic query strings) and the
 tombstone draws.  Expected answers come from ``oracle.OracleIndex`` built over
-the same seed's deduplicated rows; they are cached on disk by
+the same seed's deduplicated rows; its hit lists are cached on disk by
 (seed, corpus size, query-set size, source digest of the engine and of this
 benchmark) because the oracle is the slowest thing a run does and never part
 of a timed region.
@@ -16,12 +16,15 @@ import glob
 import hashlib
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 from lucene_solr_ray.fixtures import make_query_set, query_to_ast
+from lucene_solr_ray.index.searcher import _conjunction_eligible, _wand_eligible
+from lucene_solr_ray.oracle import OracleIndex
 from lucene_solr_ray.query.ast import Evaluator, top_k
 
 FACET_LIMIT = 100
@@ -120,14 +123,16 @@ def query_set(n: int, seed: int) -> list[dict]:
     return picked
 
 
-def scoring_path(q: dict, facets: bool) -> str:
-    """Which engine path answers ``q``: pure term disjunctions take WAND,
-    pure conjunctions the block-skipping intersection; facets (and deletes,
-    which only the faceted workload makes) and every other shape force the
-    exhaustive evaluator."""
-    if facets:
+def engine_path(ast, facets: bool, deletes: bool) -> str:
+    """The path ``SegmentSearcher.search`` takes for ``ast``, by the engine's
+    own dispatch rules: facets and tombstones force the exhaustive
+    evaluator; otherwise a conjunction of text terms takes the
+    block-skipping intersection and a pure text-term disjunction WAND."""
+    if facets or deletes:
         return "exhaustive"
-    return {"term": "wand", "or": "wand", "and": "conjunction"}.get(q["type"], "exhaustive")
+    if _conjunction_eligible(ast) is not None:
+        return "conjunction"
+    return "wand" if _wand_eligible(ast) is not None else "exhaustive"
 
 
 def query_terms(q: dict) -> list[str]:
@@ -168,63 +173,35 @@ def source_digest(dirs: list[str]) -> str:
 
 
 class Expected:
-    """Oracle answers for one seed: per query the full scored hit list, plus
-    facet value ordinals per live row, so the answer under any tombstone set
-    is a mask away (stale statistics leave surviving scores unchanged)."""
+    """Oracle answers for one seed: per query the full scored hit list, so
+    the answer under any tombstone set is a mask away (stale statistics
+    leave surviving scores unchanged).  Facets come from
+    ``OracleIndex.facet`` over the surviving hits."""
 
     def __init__(self, rows: list[dict], queries: list[dict], cache_path: str):
-        self.doc_ids = np.array([r["doc_id"] for r in rows], dtype=np.int64)
-        self.rows = rows
+        self.rows_by_doc = {r["doc_id"]: r for r in rows}
         self.hits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._facet_cols: dict[str, tuple] = {}
         if os.path.exists(cache_path):
             with np.load(cache_path) as z:
                 for q in queries:
                     self.hits[q["qid"]] = (z[f"d{q['qid']}"], z[f"s{q['qid']}"])
-                self.self_check_failures = [str(x) for x in z["self_check"]]
             return
-        from lucene_solr_ray.oracle import OracleIndex
-
-        oracle = OracleIndex(rows)
-        ev = Evaluator(oracle)
+        ev = Evaluator(OracleIndex(rows))
         for q in queries:
             self.hits[q["qid"]] = ev.scored(query_to_ast(q))
-        self.self_check_failures = self._facet_self_check(oracle, queries)
-        arrays = {"self_check": np.array(self.self_check_failures, dtype=str)}
+        arrays = {}
         for qid, (d, s) in self.hits.items():
             arrays[f"d{qid}"], arrays[f"s{qid}"] = d, s
         tmp = f"{cache_path}.{os.getpid()}.tmp.npz"
         np.savez(tmp, **arrays)
         os.replace(tmp, cache_path)
 
-    def _facet_col(self, field: str):
-        """(sorted values, row offsets, flat ordinals) for one facet field;
-        ordinals follow the UTF-8 byte order of the value dictionary."""
-        if field not in self._facet_cols:
-            per_row = []
-            for r in self.rows:
-                v = r.get(field)
-                per_row.append(list(v) if isinstance(v, (list, tuple)) else ([] if v is None else [v]))
-            vocab = sorted({v for vs in per_row for v in vs}, key=lambda s: s.encode("utf-8"))
-            ords = {v: i for i, v in enumerate(vocab)}
-            offs = np.zeros(len(per_row) + 1, dtype=np.int64)
-            offs[1:] = np.cumsum([len(vs) for vs in per_row])
-            flat = np.array([ords[v] for vs in per_row for v in vs], dtype=np.int64)
-            self._facet_cols[field] = (vocab, offs, flat)
-        return self._facet_cols[field]
-
-    def facet(self, hit_docs: np.ndarray, field: str, limit: int = FACET_LIMIT) -> list:
-        """Counts (mincount 1) ordered (count desc, ordinal asc), top ``limit``."""
-        vocab, offs, flat = self._facet_col(field)
-        rows = np.searchsorted(self.doc_ids, hit_docs)
-        lens = offs[rows + 1] - offs[rows]
-        if not lens.sum():
-            return []
-        idx = np.repeat(offs[rows] - np.concatenate(([0], np.cumsum(lens)[:-1])), lens)
-        counts = np.bincount(flat[idx + np.arange(int(lens.sum()))], minlength=len(vocab))
-        nz = np.flatnonzero(counts)
-        order = np.lexsort((nz, -counts[nz]))[:limit]
-        return [(vocab[int(o)], int(counts[o])) for o in nz[order]]
+    def facet(self, hit_docs: np.ndarray, field: str) -> list:
+        """``OracleIndex.facet`` (mincount 1) over the rows of the hits only.
+        With mincount 1 that is the whole-index answer: values no hit has
+        drop out, and the UTF-8 order of the rest is unchanged."""
+        view = SimpleNamespace(rows=[self.rows_by_doc[int(d)] for d in hit_docs])
+        return OracleIndex.facet(view, hit_docs, field, limit=FACET_LIMIT, mincount=1)
 
     def answer(self, q: dict, deleted: np.ndarray, facet_fields: tuple) -> dict:
         docs, scores = self.hits[q["qid"]]
@@ -234,20 +211,8 @@ class Expected:
         return {
             "topk": top_k(docs, scores, q["k"]),
             "total_hits": int(len(docs)),
-            "facets": {f: self.facet(np.sort(docs), f) for f in facet_fields},
+            "facets": {f: self.facet(docs, f) for f in facet_fields},
         }
-
-    def _facet_self_check(self, oracle, queries: list[dict], n: int = 4) -> list[str]:
-        """Compare the vectorized facet counter with ``OracleIndex.facet``
-        on the first ``n`` queries that have hits."""
-        bad = []
-        for q in [q for q in queries if len(self.hits[q["qid"]][0])][:n]:
-            docs = np.sort(self.hits[q["qid"]][0])
-            for f in ("host", "lang", LONG_TAIL_FACET):
-                want = oracle.facet(docs, f, limit=FACET_LIMIT, mincount=1)
-                if self.facet(docs, f) != want:
-                    bad.append(f"facet self-check q{q['qid']} {f}")
-        return bad
 
 
 def mismatch(got: dict, want: dict) -> str | None:

@@ -132,9 +132,34 @@ def probe_analysis(files: list[str], tracer: Tracer) -> dict:
     }
 
 
-def probe_index(index_dir: str, queries: list[dict], tracer: Tracer) -> dict:
+@contextmanager
+def count_fast_paths():
+    """Count calls into the engine's WAND and block-skipping conjunction
+    paths (``SegmentSearcher.search`` looks both up in ``index.wand`` per
+    call) while the block runs."""
+    from lucene_solr_ray.index import wand
+
+    counts = {"wand": 0, "conjunction": 0}
+    orig = {"wand": wand.wand_topk, "conjunction": wand.conjunction_topk}
+
+    def counted(path):
+        def call(*a, **k):
+            counts[path] += 1
+            return orig[path](*a, **k)
+        return call
+
+    wand.wand_topk, wand.conjunction_topk = counted("wand"), counted("conjunction")
+    try:
+        yield counts
+    finally:
+        wand.wand_topk, wand.conjunction_topk = orig["wand"], orig["conjunction"]
+
+
+def probe_index(index_dir: str, queries: list[dict], facets: bool, tracer: Tracer) -> dict:
     """Reader, parser, evaluator and facet costs, in-process on one
-    ``SegmentSearcher`` over every partition of the index."""
+    ``SegmentSearcher`` over every partition of the index, and the share of
+    queries the engine answered on each scoring path when asked as the
+    workload asks (with facets or without)."""
     from lucene_solr_ray.index.reader import GlobalStats, IndexPartition
     from lucene_solr_ray.index.searcher import SegmentSearcher
     from lucene_solr_ray.query.parser import QueryParser
@@ -168,18 +193,27 @@ def probe_index(index_dir: str, queries: list[dict], tracer: Tracer) -> dict:
     seg = SegmentSearcher(index_dir, pids)
     per_class: dict[str, list] = {c: [] for c in QUERY_CLASSES}
     facet_delta = []
+    taken = {"wand": 0, "conjunction": 0}
     for q in queries:
         ast = parser.parse(q["qs"])
-        t0 = time.perf_counter()
-        with tracer.span("layer.eval"):
-            seg.search(ast, k=q["k"])
-        t1 = time.perf_counter()
-        with tracer.span("layer.eval+facets"):
-            seg.search(ast, k=q["k"], facet_fields=(*q["facet_fields"], LONG_TAIL_FACET))
-        t2 = time.perf_counter()
+        with count_fast_paths() as plain:
+            t0 = time.perf_counter()
+            with tracer.span("layer.eval"):
+                seg.search(ast, k=q["k"])
+            t1 = time.perf_counter()
+        with count_fast_paths() as faceted:
+            with tracer.span("layer.eval+facets"):
+                seg.search(ast, k=q["k"], facet_fields=(*q["facet_fields"], LONG_TAIL_FACET))
+            t2 = time.perf_counter()
         per_class[q["type"]].append((t1 - t0) * 1000)
         facet_delta.append((t2 - t1) - (t1 - t0))
+        for path, calls in (faceted if facets else plain).items():
+            taken[path] += calls
+    n = len(queries)
     out = {
+        "paths.wand_share": taken["wand"] / n,
+        "paths.conjunction_share": taken["conjunction"] / n,
+        "paths.exhaustive_share": (n - taken["wand"] - taken["conjunction"]) / n,
         "parser.parse_us": p50(parse_us),
         "reader.postings_us": p50(post_us),
         "reader.positions_us": p50(pos_us),
@@ -221,14 +255,4 @@ def probe_rpc(searcher, queries: list[dict], facets: bool, tracer: Tracer, n_pin
         "searcher.actor_call_ms": p50(actor_ms),
         "searcher.driver_ms": p50(search_ms) - p50(actor_ms),
         "searcher.actor_rss_mb": max(rss),
-    }
-
-
-def path_shares(paths: list[str], total_hits: list[int]) -> dict:
-    n = max(1, len(paths))
-    return {
-        "paths.wand_share": paths.count("wand") / n,
-        "paths.conjunction_share": paths.count("conjunction") / n,
-        "paths.exhaustive_share": paths.count("exhaustive") / n,
-        "search.total_hits_unknown_share": sum(t < 0 for t in total_hits) / max(1, len(total_hits)),
     }

@@ -9,42 +9,38 @@ opens a new searcher over the commit, and shuts the old one down.
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 import time
 from contextlib import nullcontext
 
 import numpy as np
-import psutil
-import ray
 
 from lucene_solr_ray.index.deletes import apply_deletes, load_deleted
 from lucene_solr_ray.index.searcher import RayIndexSearcher
 from lucene_solr_ray.query.parser import QueryParser
 
 from inputs import FACET_LIMIT, LONG_TAIL_FACET, tombstone_draw
+from speed import CpuMeter, SpeedMeter
 
 
-def process_cpu_s(pids: list[int]) -> float:
-    """User + system CPU seconds the given processes have used so far."""
-    total = 0.0
-    for pid in pids:
-        try:
-            t = psutil.Process(pid).cpu_times()
-        except psutil.NoSuchProcess:  # a crashed actor; its queries fail
-            continue
-        total += t.user + t.system
-    return total
+class Ops:
+    """Count of ops started (queries, builds, commits), so a run stopped by
+    its wall-clock cap can report them as failed."""
+
+    def __init__(self):
+        self.started = 0
+        self._lock = threading.Lock()
+
+    def start(self) -> None:
+        with self._lock:
+            self.started += 1
 
 
 class Handle:
-    """One open searcher, the tombstone set it sees (its epoch), and the
-    process ids that serve its queries (this driver and its actors)."""
+    """One open searcher and the tombstone set it sees (its epoch)."""
 
     def __init__(self, searcher: RayIndexSearcher, epoch: int):
         self.searcher, self.epoch = searcher, epoch
-        actor_pids = ray.get([a.__ray_call__.remote(lambda _: os.getpid()) for a in searcher.actors])
-        self.pids = [os.getpid(), *actor_pids]
 
 
 class SearcherSlot:
@@ -58,8 +54,7 @@ class SearcherSlot:
         self.current: Handle | None = None
 
     def open(self) -> Handle:
-        """New searcher over the current commit; returns once every actor
-        has loaded its partitions (the ``Handle`` waits for their pids)."""
+        """New searcher over the current commit."""
         s = RayIndexSearcher(self.index_dir, num_actors=self.num_actors, actor_cpus=self.actor_cpus)
         self.epochs.append(load_deleted(self.index_dir))
         return Handle(s, len(self.epochs) - 1)
@@ -83,7 +78,8 @@ class Recorder:
         self.probes: list[dict] = []  # first answer of each reopened searcher
         self.commits: list[dict] = []
         self.errors: list[str] = []
-        self.query_cpu_s = 0.0  # CPU of the serving processes during ``run``
+        self.query_cpu_s = 0.0  # machine CPU during ``run``, at reference speed
+        self.query_raw_cpu_s = 0.0  # the same, unscaled
 
     def add(self, rec: dict, probe: bool = False) -> None:
         with self.lock:
@@ -98,10 +94,11 @@ class QueryLoad:
     docs (drawn from ``seed``), reopens the searcher, and times the span up
     to the reopened searcher's first answer."""
 
-    def __init__(self, slot: SearcherSlot, queries: list[dict], *, clients: int = 2,
-                 facets: bool = False, live_ids: np.ndarray | None = None, seed: int = 0,
-                 tracer=None):
-        self.slot, self.queries, self.clients = slot, queries, clients
+    def __init__(self, slot: SearcherSlot, queries: list[dict], speed: SpeedMeter, ops: Ops,
+                 deadline: float, *, clients: int = 2, facets: bool = False,
+                 live_ids: np.ndarray | None = None, seed: int = 0, tracer=None):
+        self.slot, self.queries, self.speed, self.ops = slot, queries, speed, ops
+        self.deadline, self.clients = deadline, clients
         self.facets, self.live_ids, self.seed, self.tracer = facets, live_ids, seed, tracer
         self.parser = QueryParser()
 
@@ -109,6 +106,7 @@ class QueryLoad:
         return self.tracer.span if (on and self.tracer) else (lambda *a, **k: nullcontext())
 
     def one(self, q: dict, h: Handle, traced: bool, rid: int) -> dict:
+        self.ops.start()
         span = self._span(traced)
         t0 = time.perf_counter()
         with span("query", rid=rid):
@@ -133,9 +131,9 @@ class QueryLoad:
             live = np.setdiff1d(self.live_ids, self.slot.epochs[-1])
             ids = tombstone_draw(live, self.seed, len(rec.commits), share)
         rid = -1 - len(rec.commits)
-        driver_cpu = process_cpu_s([os.getpid()])
-        t0 = time.perf_counter()
-        with span("commit", rid=rid):
+        self.ops.start()
+        with CpuMeter(self.speed) as cpu, span("commit", rid=rid):
+            t0 = time.perf_counter()
             with span("commit.apply_deletes", rid=rid):
                 apply_deletes(self.slot.index_dir, doc_ids=ids)
             t1 = time.perf_counter()
@@ -143,11 +141,8 @@ class QueryLoad:
                 h = self.slot.open()
             t2 = time.perf_counter()
             rec.add(self.one(q, h, False, rid), probe=True)
-        t3 = time.perf_counter()
-        # the new actors' whole lifetime so far, plus the driver's share
-        cpu_s = process_cpu_s(h.pids) - driver_cpu
         self.slot.swap(h)
-        c = {"commit_ms": (t3 - t0) * 1000, "cpu_ms": cpu_s * 1000,
+        c = {"commit_ms": cpu.wall_s * 1000, "cpu_ms": cpu.cpu_s * 1000, "raw_cpu_ms": cpu.raw_cpu_s * 1000,
              "apply_ms": (t1 - t0) * 1000, "open_s": t2 - t1, "deleted": int(len(ids))}
         rec.commits.append(c)
         return c
@@ -162,26 +157,26 @@ class QueryLoad:
 
         def client():
             while True:
-                if stop_at is not None and time.perf_counter() >= stop_at:
+                now = time.perf_counter()
+                if (stop_at is not None and now >= stop_at) or now >= self.deadline:
                     return
                 i = next(stream)
                 if n_queries is not None and i >= start + n_queries:
                     return
                 q = self.queries[i % len(self.queries)]
-                h = self.slot.current
                 try:
-                    rec.add(self.one(q, h, traced=i % 2 == 0, rid=i))
+                    rec.add(self.one(q, self.slot.current, traced=i % 2 == 0, rid=i))
                 except Exception as e:  # counted as a failed op
-                    rec.add({"qid": q["qid"], "epoch": h.epoch, "error": repr(e), "t": time.perf_counter()})
+                    rec.add({"qid": q["qid"], "error": repr(e), "t": time.perf_counter()})
 
-        pids = self.slot.current.pids
-        cpu0 = process_cpu_s(pids)
         threads = [threading.Thread(target=client, daemon=True) for _ in range(self.clients)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=(seconds or 60) + 60)
+        with CpuMeter(self.speed) as cpu:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=max(0.0, self.deadline - time.perf_counter()))
         if any(t.is_alive() for t in threads):
-            rec.errors.append("client thread hung past the run cap")
-        rec.query_cpu_s += process_cpu_s(pids) - cpu0
+            rec.errors.append("a client thread was still waiting for a reply at the run cap")
+        rec.query_cpu_s += cpu.cpu_s
+        rec.query_raw_cpu_s += cpu.raw_cpu_s
         return time.perf_counter() - t_start

@@ -16,11 +16,12 @@ differ in what the timed window does:
   ``COMMIT_EVERY`` queries and one commit that tombstones 1% of the live
   docs and reopens the searcher.
 
-The gated costs are CPU seconds (user + system, which exclude the time the
-hypervisor gave to other guests) rather than wall time.  On a shared host,
-wall-clock latency of the same code moves by 2x with the neighbours' load,
-while CPU per op moves by a fifth at most.  Wall-clock figures are still
-measured and reported next to them.
+The gated costs are machine CPU seconds at reference host speed
+(``speed.CpuMeter``) rather than wall time.  On a shared host, wall-clock
+latency of the same code moves by 2x with the neighbours' load: steal takes
+the CPU away, and a loaded host runs the same instructions more slowly.  CPU
+time excludes steal, and the speed scale removes the slowdown.  Wall-clock
+figures and unscaled CPU are still measured and reported next to them.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import psutil
 import ray
 
 from bench import _latency_probe_ms
@@ -44,7 +44,8 @@ from lucene_solr_ray.index.deletes import apply_deletes
 
 import inputs
 import layers
-from load import QueryLoad, Recorder, SearcherSlot
+from load import Ops, QueryLoad, Recorder, SearcherSlot
+from speed import CpuMeter, SpeedMeter
 
 N_PAGES = 8192
 N_FILES = 32
@@ -53,11 +54,8 @@ QUERY_SET = 600
 CLIENTS = 2
 ACTORS = 2
 WARM_QUERIES = 100
-SETUP_OPENS = 2
-SLICE_FILES = 2
-SLICE_BUILDS = 2
+OPENS = 3
 INGEST_QUERIES = 800
-INGEST_OPENS = 2
 COMMIT_EVERY = 100
 DELETE_SHARE = 0.01
 PROBE_QUERIES = 120
@@ -73,10 +71,13 @@ class Ctx:
     root: str
     run_dir: str
     cache_dir: str
-    ray_start_s: float
+    ray_start_s: float  # CPU seconds at reference speed
     num_cpus: int
     actor_cpus: float
     tracer: layers.Tracer
+    speed: SpeedMeter
+    ops: Ops
+    deadline: float  # perf_counter time of the run cap
 
 
 @dataclass
@@ -95,22 +96,6 @@ class Result:
             self.errors.append(why)
 
 
-class CpuMeter:
-    """Machine CPU seconds (busy, excluding steal) and the steal share over
-    an interval."""
-
-    def __enter__(self):
-        self.t0 = psutil.cpu_times()
-        return self
-
-    def __exit__(self, *exc):
-        t1 = psutil.cpu_times()
-        d = {f: getattr(t1, f) - getattr(self.t0, f) for f in t1._fields}
-        self.busy_s = d["user"] + d["nice"] + d["system"] + d["irq"] + d["softirq"]
-        total = self.busy_s + d["idle"] + d["iowait"] + d["steal"]
-        self.steal_pct = 100 * d["steal"] / total if total else 0.0
-
-
 def tail_ms(ms: list[float]) -> tuple[float, float]:
     """(value, percentile): the 99th percentile, or with fewer than 1,000
     samples the highest percentile that has ten samples beyond it."""
@@ -120,16 +105,16 @@ def tail_ms(ms: list[float]) -> tuple[float, float]:
     return xs[i], 100.0 * (i + 1) / n
 
 
-def build(ctx: Ctx, files: list[str], name: str) -> tuple[dict, float, float, str]:
-    """Fresh build -> (manifest, wall s, machine CPU s, index dir)."""
+def build(ctx: Ctx, files: list[str], name: str) -> tuple[dict, CpuMeter, str]:
+    """Fresh build -> (manifest, its CPU meter, index dir)."""
     ix = os.path.join(ctx.run_dir, name)
-    t0 = time.perf_counter()
-    with CpuMeter() as cpu, ctx.tracer.span("build_index"):
+    ctx.ops.start()
+    with CpuMeter(ctx.speed) as cpu, ctx.tracer.span("build_index"):
         m = build_index(
             files, ix, rows_per_partition=ROWS_PER_PARTITION,
             multi_facet_fields=(inputs.LONG_TAIL_FACET,), with_positions=True, resume=False,
         )
-    return m, time.perf_counter() - t0, cpu.busy_s, ix
+    return m, cpu, ix
 
 
 @ray.remote(num_cpus=0)
@@ -153,6 +138,7 @@ def host_noise(slot: SearcherSlot | None) -> dict:
 def check_answers(res: Result, exp: inputs.Expected, slot: SearcherSlot, qmap: dict,
                   recorders: list[Recorder], facets: bool) -> None:
     """Count every query, probe and load error as an op; fail the wrong ones."""
+    t0 = time.perf_counter()
     memo: dict = {}
     for why in (e for rec in recorders for e in rec.errors):
         res.attempted += 1
@@ -173,15 +159,22 @@ def check_answers(res: Result, exp: inputs.Expected, slot: SearcherSlot, qmap: d
         why = inputs.mismatch(r, memo[key])
         if why:
             res.fail(f"q{r['qid']} epoch {r['epoch']}: {why}")
+    res.report["phases_s"]["check"] = time.perf_counter() - t0
 
 
 def query_phase(res: Result, rec: Recorder, wall: float, cpu: CpuMeter, commits: list[dict]) -> None:
     """End-to-end query and commit costs plus the wall-clock figures of one
     query phase and the commits that belong to it."""
     ms = [r["ms"] for r in rec.queries if "ms" in r]
+    if not ms or not commits:
+        res.attempted += 1
+        res.fail("no query or no commit completed before the run cap")
+        return
     tail, pct = tail_ms(ms)
     res.metrics["query_cpu_ms"] = rec.query_cpu_s * 1000 / len(ms)
     res.metrics["commit_cpu_ms"] = statistics.median(c["cpu_ms"] for c in commits)
+    res.report["raw_cpu"] = {"query_ms": rec.query_raw_cpu_s * 1000 / len(ms),
+                             "commit_ms": statistics.median(c["raw_cpu_ms"] for c in commits)}
     res.wall["commit_ms"] = statistics.median(c["commit_ms"] for c in commits)
     res.wall["commit_samples"] = len(commits)
     res.wall.update({
@@ -197,10 +190,10 @@ def query_phase(res: Result, rec: Recorder, wall: float, cpu: CpuMeter, commits:
         res.layers["trace.overhead_pct"] = (tr - un) / un * 100
 
 
-def workload_props(res: Result, qmap: dict, rec: Recorder, facets: bool) -> None:
+def workload_props(res: Result, qmap: dict, rec: Recorder, slot: SearcherSlot, facets: bool) -> None:
     recs = sorted((r for r in rec.queries if "ms" in r), key=lambda r: r["t"])
     issued = [qmap[r["qid"]] for r in recs]
-    paths = [inputs.scoring_path(q, facets) for q in issued]
+    paths = [inputs.engine_path(r["ast"], facets, len(slot.epochs[r["epoch"]]) > 0) for r in recs]
     n = max(1, len(issued))
     res.report["workload"] = {
         "class_shares": {c: [q["type"] for q in issued].count(c) / n for c in layers.QUERY_CLASSES},
@@ -208,27 +201,26 @@ def workload_props(res: Result, qmap: dict, rec: Recorder, facets: bool) -> None
         "repeat_term_share": inputs.repeat_term_share(issued),
     }
     if res.layers is not None:
-        res.layers.update(layers.path_shares(paths, [r["total_hits"] for r in recs]))
+        hits = [r["total_hits"] for r in recs]
+        res.layers["search.total_hits_unknown_share"] = sum(t < 0 for t in hits) / max(1, len(hits))
 
 
-def _prepare(ctx: Ctx, res: Result, slice_builds: int):
-    """Corpus, then warm-up builds on a slice of it (the first build in a
-    process pays worker start-up and imports).  Returns the query set, the
-    corpus files, the deduplicated rows and the set-up seconds so far."""
+def _prepare(ctx: Ctx, res: Result):
+    """Corpus, then an untimed warm-up build of it: the first build in a
+    process pays worker start-up and imports, and costs a tenth more than
+    the next.  Returns the query set, the corpus files, the deduplicated
+    rows and the set-up CPU seconds so far."""
     queries = inputs.query_set(QUERY_SET, ctx.seed)
-    t0 = time.perf_counter()
-    with ctx.tracer.span("setup.corpus"):
+    with CpuMeter(ctx.speed) as corpus, ctx.tracer.span("setup.corpus"):
         files = write_pages_parquet(os.path.join(ctx.run_dir, "pages"), N_PAGES, N_FILES, ctx.seed)
-    corpus_s = time.perf_counter() - t0
-    slice_s = []
-    for i in range(slice_builds):
-        with ctx.tracer.span("setup.slice_build"):
-            _, wall, _, ix = build(ctx, files[:SLICE_FILES], f"slice{i}")
-        shutil.rmtree(ix, ignore_errors=True)
-        slice_s.append(wall)
-    res.report["phases_s"] = {"ray_start": ctx.ray_start_s, "corpus": corpus_s, "slice_builds": slice_s}
+    with ctx.tracer.span("setup.warm_build"):
+        _, warm, ix = build(ctx, files, "warm")
+    shutil.rmtree(ix, ignore_errors=True)
+    res.report["setup_cpu_s"] = {"ray_start": ctx.ray_start_s, "corpus": corpus.cpu_s,
+                                 "warm_build": warm.cpu_s}
+    res.report["phases_s"] = {"corpus": corpus.wall_s, "warm_build": warm.wall_s}
     rows = inputs.live_rows(inputs.read_rows(files))
-    return queries, files, rows, ctx.ray_start_s + corpus_s + statistics.median(slice_s)
+    return queries, files, rows, ctx.ray_start_s + corpus.cpu_s + warm.cpu_s
 
 
 def _expected(ctx: Ctx, rows: list[dict], queries: list[dict], max_doc: int, res: Result):
@@ -243,8 +235,6 @@ def _expected(ctx: Ctx, rows: list[dict], queries: list[dict], max_doc: int, res
     t0 = time.perf_counter()
     exp = inputs.Expected(rows, queries, os.path.join(ctx.cache_dir, key))
     res.report["phases_s"]["oracle"] = time.perf_counter() - t0
-    for why in exp.self_check_failures:
-        res.fail(why)
     return exp
 
 
@@ -256,7 +246,7 @@ def _trace_layers(ctx: Ctx, res: Result, files, rows, index_dir, queries, slot, 
     res.layers.update(layers.probe_rpc(slot.current.searcher, queries[:PROBE_RPC_QUERIES], facets, ctx.tracer))
     res.layers["searcher.open_s"] = statistics.median(open_s)
     slot.close()
-    res.layers.update(layers.probe_index(index_dir, queries[:PROBE_QUERIES], ctx.tracer))
+    res.layers.update(layers.probe_index(index_dir, queries[:PROBE_QUERIES], facets, ctx.tracer))
     if not apply_ms:
         live = np.setdiff1d(np.array([r["doc_id"] for r in rows]), slot.epochs[-1])
         ids = inputs.tombstone_draw(live, ctx.seed, 0, DELETE_SHARE)
@@ -267,54 +257,60 @@ def _trace_layers(ctx: Ctx, res: Result, files, rows, index_dir, queries, slot, 
     res.layers["deletes.apply_ms"] = statistics.median(apply_ms)
 
 
+def _load(ctx: Ctx, slot: SearcherSlot, queries: list[dict], **kw) -> QueryLoad:
+    return QueryLoad(slot, queries, ctx.speed, ctx.ops, ctx.deadline, clients=CLIENTS,
+                     tracer=ctx.tracer if ctx.trace else None, **kw)
+
+
 # --------------------------------------------------------------- workloads ---
 
 
 def run_ingest(ctx: Ctx) -> Result:
     res = Result(layers={} if ctx.trace else None)
-    queries, files, rows, setup_s = _prepare(ctx, res, SLICE_BUILDS)
+    queries, files, rows, setup_s = _prepare(ctx, res)
     noise_before = host_noise(None)
 
-    manifests, walls, cpus, digests, last_ix = [], [], [], [], None
+    manifests, builds, digests, last_ix = [], [], [], None
     t_end = time.perf_counter() + ctx.seconds
-    while not walls or time.perf_counter() < t_end:
+    while not builds or time.perf_counter() < t_end:
         res.attempted += 1
         try:
-            m, wall, cpu_s, ix = build(ctx, files, f"ix{len(walls)}")
+            m, cpu, ix = build(ctx, files, f"ix{len(builds)}")
         except Exception as e:
             res.fail(f"build: {e!r}")
             break
         d = inputs.index_digest(ix)
         if digests and d != digests[0]:
-            res.fail(f"build {len(walls)} index digest differs from build 0")
+            res.fail(f"build {len(builds)} index digest differs from build 0")
         manifests.append(m)
-        walls.append(wall)
-        cpus.append(cpu_s)
+        builds.append(cpu)
         digests.append(d)
         if last_ix:
             shutil.rmtree(last_ix, ignore_errors=True)
         last_ix = ix
-    res.report["phases_s"]["window"] = sum(walls)
+    res.report["phases_s"]["window"] = sum(c.wall_s for c in builds)
     noise_after = host_noise(None)
     max_doc = manifests[0]["max_doc"]
 
     slot = SearcherSlot(last_ix, ACTORS, ctx.actor_cpus)
-    load = QueryLoad(slot, queries, clients=CLIENTS, tracer=ctx.tracer if ctx.trace else None)
+    load = _load(ctx, slot, queries)
     rec = Recorder()
-    opens = [load.commit(rec, queries[i], 0.0) for i in range(INGEST_OPENS)]
-    with CpuMeter() as cpu:
+    opens = [load.commit(rec, queries[i], 0.0) for i in range(OPENS)]
+    with CpuMeter(ctx.speed) as cpu:
         wall = load.run(rec, n_queries=INGEST_QUERIES)
 
     res.metrics = {
         "setup_s": setup_s,
-        "build_docs_per_cpu_s": statistics.median(max_doc / c for c in cpus),
+        "build_docs_per_cpu_s": statistics.median(max_doc / c.cpu_s for c in builds),
         "index_bytes_per_input_byte": inputs.index_bytes(last_ix) / inputs.input_bytes(files),
     }
-    res.wall = {"build_docs_per_s": statistics.median(max_doc / w for w in walls)}
+    res.wall = {"build_docs_per_s": statistics.median(max_doc / c.wall_s for c in builds)}
     query_phase(res, rec, wall, cpu, rec.commits)
-    workload_props(res, {q["qid"]: q for q in queries}, rec, False)
+    workload_props(res, {q["qid"]: q for q in queries}, rec, slot, False)
     res.report["workload"]["deleted_share"] = 0.0
-    res.report.update({"builds": len(walls), "build_walls_s": walls, "build_cpu_s": cpus,
+    res.report.update({"builds": len(builds), "build_walls_s": [c.wall_s for c in builds],
+                       "build_cpu_s": [c.cpu_s for c in builds],
+                       "build_raw_cpu_s": [c.raw_cpu_s for c in builds],
                        "max_doc": max_doc, "index_digest": digests[0][:16],
                        "noise_before": noise_before, "noise_after": noise_after})
     if ctx.trace:
@@ -328,23 +324,23 @@ def run_ingest(ctx: Ctx) -> Result:
 
 def _serve(ctx: Ctx, facets: bool) -> Result:
     res = Result(layers={} if ctx.trace else None)
-    queries, files, rows, setup_s = _prepare(ctx, res, 1)
-    m, build_s, build_cpu_s, ix = build(ctx, files, "ix")
+    queries, files, rows, setup_s = _prepare(ctx, res)
+    m, built, ix = build(ctx, files, "ix")
     slot = SearcherSlot(ix, ACTORS, ctx.actor_cpus)
-    load = QueryLoad(
-        slot, queries, clients=CLIENTS, facets=facets,
-        live_ids=np.array([r["doc_id"] for r in rows], dtype=np.int64), seed=ctx.seed,
-        tracer=ctx.tracer if ctx.trace else None,
-    )
+    load = _load(ctx, slot, queries, facets=facets,
+                 live_ids=np.array([r["doc_id"] for r in rows], dtype=np.int64), seed=ctx.seed)
     warm = Recorder()
-    opens = [load.commit(warm, queries[i], 0.0) for i in range(SETUP_OPENS)]
+    opens = [load.commit(warm, queries[i], 0.0) for i in range(OPENS)]
     warm_s = load.run(warm, n_queries=WARM_QUERIES)
-    setup_s += build_s + statistics.median(c["commit_ms"] for c in opens) / 1000 + warm_s
-    res.report["phases_s"].update({"build": build_s, "opens": [c["open_s"] for c in opens], "warm": warm_s})
+    setup_s += built.cpu_s + statistics.median(c["cpu_ms"] for c in opens) / 1000 + warm.query_cpu_s
+    res.report["setup_cpu_s"].update({"build": built.cpu_s, "opens": [c["cpu_ms"] / 1000 for c in opens],
+                                      "warm_queries": warm.query_cpu_s})
+    res.report["phases_s"].update({"build": built.wall_s,
+                                   "opens": [c["commit_ms"] / 1000 for c in opens], "warm_queries": warm_s})
     noise_before = host_noise(slot)
 
     rec = Recorder()
-    with CpuMeter() as cpu:
+    with CpuMeter(ctx.speed) as cpu:
         if facets:  # whole cycles of COMMIT_EVERY queries and one commit
             t0, pos = time.perf_counter(), 0
             while pos == 0 or time.perf_counter() - t0 < ctx.seconds:
@@ -362,17 +358,17 @@ def _serve(ctx: Ctx, facets: bool) -> Result:
 
     res.metrics = {
         "setup_s": setup_s,
-        "build_docs_per_cpu_s": m["max_doc"] / build_cpu_s,
+        "build_docs_per_cpu_s": m["max_doc"] / built.cpu_s,
         "index_bytes_per_input_byte": inputs.index_bytes(ix) / inputs.input_bytes(files),
     }
-    res.wall = {"build_docs_per_s": m["max_doc"] / build_s}
+    res.wall = {"build_docs_per_s": m["max_doc"] / built.wall_s}
     query_phase(res, rec, wall, cpu, rec.commits if facets else opens)
     qmap = {q["qid"]: q for q in queries}
-    workload_props(res, qmap, rec, facets)
+    workload_props(res, qmap, rec, slot, facets)
     res.report["workload"]["deleted_share"] = len(slot.epochs[-1]) / m["max_doc"]
-    res.report.update({"max_doc": m["max_doc"], "build_cpu_s": build_cpu_s,
-                       "noise_before": noise_before, "noise_after": noise_after,
-                       "commits": rec.commits})
+    res.report.update({"max_doc": m["max_doc"], "build_raw_cpu_s": [built.raw_cpu_s],
+                       "noise_before": noise_before,
+                       "noise_after": noise_after, "commits": rec.commits})
     res.attempted += len(rec.commits)
     if ctx.trace:
         _trace_layers(ctx, res, files, rows, ix, queries, slot, facets, [m],
