@@ -135,9 +135,8 @@ def extract_slow(html: str) -> tuple[str, str, dict[str, str]]:
 # state transitions, and BAILS OUT (_Bail -> extract_slow) on any construct
 # outside its well-formed subset, so output is byte-identical by
 # construction-or-fallback; tests/test_fast_extract.py holds the
-# differential gate.  LSR_FAST_EXTRACT=0 disables it.
+# differential gate.
 
-import os as _os
 import re as _re
 from html import unescape as _unescape
 
@@ -165,8 +164,6 @@ _CDATA_CLOSE = {
     "script": _re.compile(r"</\s*script\s*>", _re.IGNORECASE),
     "style": _re.compile(r"</\s*style\s*>", _re.IGNORECASE),
 }
-
-_FAST_ON = _os.environ.get("LSR_FAST_EXTRACT", "1") != "0"
 
 
 def _extract_fast(html: str) -> tuple[str, str, dict[str, str]]:
@@ -508,13 +505,12 @@ def extract(html: str | bytes) -> tuple[str, str, dict[str, str]]:
     """
     if isinstance(html, (bytes, bytearray, memoryview)):
         html = bytes(html).decode("utf-8")
-    if _FAST_ON:
-        try:
-            return _extract_tmpl(html)
-        except _Bail:
-            pass
-        try:
-            return _extract_fast(html)
-        except _Bail:
-            pass
+    try:
+        return _extract_tmpl(html)
+    except _Bail:
+        pass
+    try:
+        return _extract_fast(html)
+    except _Bail:
+        pass
     return extract_slow(html)

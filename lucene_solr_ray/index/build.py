@@ -16,14 +16,15 @@ per-segment inversion):
    (the ``OrdinalMap`` analog, `MultiDocValues.java:375-430`).
 4. **doc-map**: per-partition columnar doc values (url, dl, norm byte, facet
    ordinals) — the norms/doc-values files of a Lucene segment.
-5. **postings**: vectorized explode to per-(term, partition) chunks →
-   ``groupby(["term", "partition_id"])`` shuffle → ``map_groups`` merge +
-   FOR/VByte encode with skip + block-max sidecars → Parquet partitioned by
-   ``partition_id``.  Keying by (term, partition) bounds every reduce group
-   by the partition size — Zipf-head terms cannot straggle (SURVEY.md §4).
-6. **global term stats**: tiny ``groupby(term)`` over per-cell partials
-   (df, ttf) — pre-aggregated, so this shuffle moves O(vocab) rows, not
-   O(postings).
+5. **postings**: one task per partition of the checkpoint inverts it in
+   one vectorized pass (lexsort by (term, doc) → FOR/VByte encode with
+   skip + block-max sidecars); :func:`write_postings_partition` writes it.
+   Cells are (term, partition), so the partition size bounds every cell —
+   Zipf-head terms cannot straggle (SURVEY.md §4).
+6. **global term stats**: :func:`write_terms_global` sums the per-cell
+   (df, ttf) partials over the term-sorted partitions — O(vocab) rows out,
+   not O(postings).  Expunge and union write their dictionaries and
+   partitions through the same two functions.
 7. **manifest**: ``manifest.json`` written LAST = the commit point
    (``segments_N`` analog, `SegmentInfos.java`); per-stage markers carry the
    input fingerprint for resume + lineage.
@@ -73,7 +74,7 @@ except ImportError:  # aiohttp missing (this sandbox): install the sentinel
 
     _mod.HTTPFileSystem = _HTTPFileSystemSentinel
     _sys.modules.setdefault("fsspec.implementations.http", _mod)
-from .postings import encode_cells_columns, float32_cells
+from .postings import encode_cells_columns
 
 DEFAULT_FACET_FIELDS = ("host", "tld", "lang")
 
@@ -465,9 +466,9 @@ def _merge_term_stats(post_files, file_firsts, n_cells, avg_rgs, tg_dir):
     files = list(post_files)
     firsts_of = dict(file_firsts)
 
-    def do_bucket(batch: pa.Table) -> pa.Table:
-        import hashlib as _hl
+    write_shard = _ShardWriter(tg_dir)
 
+    def do_bucket(batch: pa.Table) -> pa.Table:
         rows_out = []
         for bi in batch["b"].to_pylist():
             lo, hi = lows[bi], highs[bi]
@@ -493,17 +494,161 @@ def _merge_term_stats(post_files, file_firsts, n_cells, avg_rgs, tg_dir):
                 [("df", "sum"), ("ttf", "sum")]
             ).rename_columns(["term", "df", "ttf"]).sort_by("term")
             for st in range(0, out.num_rows, TERMS_SHARD_ROWS):
-                chunk = out.slice(st, TERMS_SHARD_ROWS)
-                h = _hl.md5(chunk["term"][0].as_py().encode("utf-8")).hexdigest()[:16]
-                tmp = os.path.join(tg_dir, f".shard-{h}.tmp")
-                pq.write_table(chunk, tmp)
-                os.replace(tmp, os.path.join(tg_dir, f"shard-{h}.parquet"))
+                write_shard(out.slice(st, TERMS_SHARD_ROWS))
             rows_out.append(out.num_rows)
         return pa.table({"rows": pa.array(rows_out, type=pa.int64())})
 
     rd.from_items([{"b": i} for i in range(len(lows))]).map_batches(
         do_bucket, batch_format="pyarrow", batch_size=1
     ).materialize()
+
+
+def write_terms_global(files: "list[str]", tg_dir: str) -> None:
+    """The one writer of a ``terms_global`` term dictionary (build stage 6,
+    expunge, union): sum (df, ttf) per term over ``files`` — parquet files
+    of (term, df, ttf, ...) rows, each sorted by term — and write the result
+    into ``tg_dir`` (replaced) SORTED and range-sharded: each <=
+    TERMS_SHARD_ROWS slice of the sorted stream is one shard file (atomic
+    tmp+rename, name = first-term digest — unique because shard key ranges
+    are disjoint), and ``_shard_index.json`` records (first term, rows) per
+    shard ORDERED BY FIRST TERM.  Readers binary-search the tiny index and
+    lazy-load only the shards a query touches — the .tip/.tim split of
+    BlockTreeTermsReader (see index/termshards.py).
+
+    Regime decision from parquet FOOTER metadata, read in the calling
+    process (no Ray job for the count).  Three regimes:
+
+    - small (<= 2M cells): one Arrow C++ hash-aggregate task — the fixed
+      cost of any fan-out exceeds the work;
+    - range merge (default above 2M): the files are SORTED by term, so B
+      range-bucket tasks each read ONLY the row groups intersecting their
+      term range (exact first-term ``_rg_firsts.json`` sidecars from
+      :func:`write_postings_partition`, parquet column stats as fallback) —
+      ZERO shuffle, and each bucket writes its shards directly (see
+      :func:`_merge_term_stats`).  Measured 2.6x the single task at 8 CPUs
+      on a 9.6M-cell corpus; the shuffle alternatives (hash bucket + global
+      sort) ship the term strings through an exchange and lose to BOTH
+      (BASELINE.md round-5);
+    - bucketed exchange (fallback): files with too few row groups to prune
+      against (pre-sidecar postings, one-group terms_global shards fed by a
+      union) would make range tasks re-read whole files."""
+    import shutil
+
+    from .termshards import write_shard_index
+
+    n_cells = 0
+    file_firsts: "dict[str, list[str]] | None" = {}
+    for f in files:
+        md = pq.ParquetFile(f).metadata
+        n_cells += md.num_rows
+        if file_firsts is None:
+            continue
+        side = os.path.join(os.path.dirname(f), "_rg_firsts.json")
+        if os.path.exists(side):
+            with open(side) as fh:
+                firsts = json.load(fh)
+            if len(firsts) == md.num_row_groups:
+                file_firsts[f] = firsts
+                continue
+        # fallback: exact column stats (terms are far below parquet's 4KB
+        # statistics cap, so min values are untruncated)
+        firsts = []
+        for i in range(md.num_row_groups):
+            st = md.row_group(i).column(0).statistics
+            if st is None or not st.has_min_max:
+                firsts = None
+                break
+            firsts.append(st.min)
+        if firsts is None:
+            file_firsts = None
+        else:
+            file_firsts[f] = firsts
+
+    if os.path.exists(tg_dir):
+        shutil.rmtree(tg_dir)
+    os.makedirs(tg_dir)
+
+    avg_rgs = 0
+    if file_firsts and files:
+        avg_rgs = sum(len(v) for v in file_firsts.values()) // len(files)
+    if (n_cells > STATS_MERGE_MIN_CELLS and file_firsts
+            and avg_rgs >= STATS_MERGE_MIN_AVG_RGS):
+        _merge_term_stats(files, file_firsts, n_cells, avg_rgs, tg_dir)
+    elif files:
+        # groupby on a string key is a slow sort exchange; hash the term to
+        # an int bucket (cheap int sort) and run Arrow's C++
+        # hash-aggregation within each bucket — same result, ~10x faster
+        from ..hashing import bucket_strings
+
+        def add_term_bucket(t: pa.Table) -> pa.Table:
+            h = bucket_strings(t["term"], 256)
+            return t.append_column("tb", pa.array(h, type=pa.int64()))
+
+        def agg_bucket(g: pa.Table) -> pa.Table:
+            out = g.group_by("term").aggregate([("df", "sum"), ("ttf", "sum")])
+            return out.rename_columns(["term", "df", "ttf"])
+
+        def agg_sorted(g: pa.Table) -> pa.Table:
+            return agg_bucket(g).sort_by("term")
+
+        cells = _read_sized(list(files), columns=["term", "df", "ttf"])
+        if n_cells <= 10_000_000:
+            stats = cells.repartition(1).map_batches(
+                agg_sorted, batch_format="pyarrow", batch_size=None
+            )
+        else:
+            stats = (
+                cells.map_batches(add_term_bucket, batch_format="pyarrow")
+                .groupby("tb")
+                .map_groups(agg_bucket, batch_format="pyarrow")
+                .sort("term")
+            )
+        stats.map_batches(
+            _ShardWriter(tg_dir), batch_format="pyarrow",
+            batch_size=TERMS_SHARD_ROWS,
+        ).materialize()
+    write_shard_index(tg_dir)
+
+
+def _write_json_atomic(path: str, obj) -> None:
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        json.dump(obj, fh)
+    os.replace(tmp, path)
+
+
+def write_postings_partition(part_dir: str, pid: int, cells: pa.Table, docs: pa.Table,
+                             extra_text_fields=()) -> dict:
+    """The one writer of a postings partition (build stage 5, expunge).
+
+    ``cells`` is the partition's encoded postings, sorted by term;
+    ``docs`` its documents (``dl`` and ``dl_<f>`` columns).  Writes the
+    per-partition collection stats sidecar ``_part_stats.json`` (rows,
+    sum_dl — the doc-count/avgdl inputs of BM25), the exact first term per
+    row group ``_rg_firsts.json`` (stage 6's range merge prunes row groups
+    with it, independent of parquet statistics truncation), then
+    ``postings.parquet`` with adaptive row groups.  Each file lands by
+    tmp+rename, postings last, so a partition is "done" (per-partition
+    resume) only once postings.parquet exists with both sidecars.  Returns
+    the stats row."""
+    os.makedirs(part_dir, exist_ok=True)
+    stats = {
+        "partition_id": pid,
+        "rows": docs.num_rows,
+        "sum_dl": int(np.asarray(docs["dl"], dtype=np.int64).sum()),
+        **{
+            f"sum_dl_{f}": int(np.asarray(docs[f"dl_{f}"], dtype=np.int64).sum())
+            for f in extra_text_fields
+        },
+    }
+    _write_json_atomic(os.path.join(part_dir, "_part_stats.json"), stats)
+    rg_rows = _postings_rg_rows(cells.num_rows)
+    firsts = [cells["term"][i].as_py() for i in range(0, cells.num_rows, rg_rows)]
+    _write_json_atomic(os.path.join(part_dir, "_rg_firsts.json"), firsts)
+    tmp = os.path.join(part_dir, ".postings.parquet.tmp")
+    pq.write_table(cells, tmp, row_group_size=rg_rows)
+    os.replace(tmp, os.path.join(part_dir, "postings.parquet"))
+    return stats
 
 
 def build_index(
@@ -664,7 +809,7 @@ def build_index(
             tokenized_dir,
             partition_cols=["partition_id"],
             mode="overwrite",
-            compression=os.environ.get("LSR_TOKENIZED_CODEC", "snappy"),
+            compression="snappy",
         )
         _mark_stage(index_dir, "tokenized", secs=time.time() - t0, fingerprint=fingerprint)
 
@@ -879,106 +1024,17 @@ def build_index(
             if has_payloads:
                 cols.append("payloads")
 
-            # The reduce group of the exchange is ONE INDEX PARTITION: every cell
-            # chunk for partition P meets in one map_groups call, which merges and
-            # encodes the partition's ENTIRE postings vectorized and emits one
-            # output block -> exactly one Parquet file per partition dir.  Group
-            # size is bounded by rows_per_partition (memory: ~tokens(partition) *
-            # 24B flat arrays), parallelism = partition count, and Zipf-head terms
-            # cannot straggle because no group ever exceeds a partition.
-            def encode_bucket(group: pa.Table) -> pa.Table:
-                """Merge + encode every cell in one partition, vectorized
-                end-to-end: pyarrow list-flatten -> one global lexsort by (term,
-                doc) -> encode_cells_columns (two vbyte passes for the whole group).
-                Per-cell Python is limited to assembling output rows."""
-                group = group.combine_chunks()
-                nrows = group.num_rows
-                if nrows == 0:
-                    schema: dict = {
-                        "term": pa.array([], type=pa.string()),
-                        "partition_id": pa.array([], type=pa.int64()),
-                        "df": pa.array([], type=pa.int64()),
-                        "ttf": pa.array([], type=pa.int64()),
-                        "docs": pa.array([], type=pa.binary()),
-                        "freqs": pa.array([], type=pa.binary()),
-                        "skip_first_doc": pa.array([], type=pa.list_(pa.int64())),
-                        "skip_last_doc": pa.array([], type=pa.list_(pa.int64())),
-                        "skip_docs_off": pa.array([], type=pa.list_(pa.int64())),
-                        "skip_freqs_off": pa.array([], type=pa.list_(pa.int64())),
-                        "bm_max_tf": pa.array([], type=pa.list_(pa.int64())),
-                        "bm_min_dl": pa.array([], type=pa.list_(pa.float32())),
-                    }
-                    if with_positions:
-                        schema["positions"] = pa.array([], type=pa.binary())
-                    return pa.table(schema)
-                import pyarrow.compute as pc_
-
-                term_enc = pc_.dictionary_encode(group["term"].combine_chunks())
-                term_codes = np.asarray(term_enc.indices, dtype=np.int64)
-                pids = np.asarray(group["partition_id"], dtype=np.int64)
-                docs_list = group["docs"].combine_chunks()
-                chunk_lens = np.asarray(docs_list.value_lengths(), dtype=np.int64)
-                docs_flat = np.asarray(docs_list.flatten(), dtype=np.int64)
-                tfs_flat = np.asarray(group["tfs"].combine_chunks().flatten(), dtype=np.int64)
-                norms_flat = np.asarray(group["norms"].combine_chunks().flatten(), dtype=np.uint8)
-                parent = np.repeat(np.arange(nrows), chunk_lens)
-
-                order = np.lexsort((docs_flat, pids[parent], term_codes[parent]))
-                s_code = term_codes[parent][order]
-                s_pid = pids[parent][order]
-                change = np.empty(len(order), dtype=bool)
-                change[0] = True
-                change[1:] = (s_code[1:] != s_code[:-1]) | (s_pid[1:] != s_pid[:-1])
-                starts = np.flatnonzero(change)
-
-                pos_vals = None
-                if with_positions:
-                    pos_outer = group["positions"].combine_chunks().flatten()  # list<int32> per doc-entry
-                    pos_lens = np.asarray(pos_outer.value_lengths(), dtype=np.int64)
-                    pos_all = np.asarray(pos_outer.flatten(), dtype=np.int64)
-                    old_starts = np.concatenate(([0], np.cumsum(pos_lens)[:-1]))
-                    lens_o = pos_lens[order]
-                    new_offsets = np.concatenate(([0], np.cumsum(lens_o)[:-1]))
-                    gather = (
-                        np.repeat(old_starts[order] - new_offsets, lens_o)
-                        + np.arange(int(lens_o.sum()), dtype=np.int64)
-                    )
-                    pos_vals = pos_all[gather]
-
-                cell_cols = encode_cells_columns(
-                    starts,
-                    docs_flat[order],
-                    tfs_flat[order],
-                    NORM_TABLE[norms_flat[order]],
-                    pos_vals,
-                )
-                out = {
-                    "term": term_enc.dictionary.take(pa.array(s_code[starts])),
-                    "partition_id": pa.array(s_pid[starts], type=pa.int64()),
-                    **cell_cols,
-                }
-                return pa.table(out)
-
             import glob as _glob
 
             import pyarrow.compute as pc_
 
-            def invert_encode_partition(tbl: pa.Table, pid: int) -> pa.Table:
+            def invert_encode_partition(tbl: pa.Table) -> pa.Table:
                 """Whole-partition inversion + encode in one vectorized pass:
                 flatten per-doc term lists -> dictionary-encode -> one lexsort by
                 (term, doc) -> encode_cells_columns.  (DefaultIndexingChain's in-RAM
                 inversion + Lucene41 flush, fused.)"""
                 terms_col = tbl["terms"].combine_chunks()
                 flat_terms = terms_col.flatten()
-                if len(flat_terms) == 0:
-                    empty = encode_bucket(
-                        pa.table({"term": pa.array([], type=pa.string())}).slice(0, 0)
-                    ).drop_columns(["partition_id"])
-                    if has_payloads:
-                        empty = empty.append_column(
-                            "payloads", pa.array([], type=pa.binary())
-                        )
-                    return empty
                 lens = np.asarray(terms_col.value_lengths(), dtype=np.int64)
                 parent = np.repeat(np.arange(tbl.num_rows), lens)
                 dict_enc = pc_.dictionary_encode(flat_terms)
@@ -1003,13 +1059,10 @@ def build_index(
 
                 order = np.lexsort((doc_ids[parent], codes))
                 s_code = codes[order]
-                change = np.empty(len(order), dtype=bool)
-                change[0] = True
-                change[1:] = s_code[1:] != s_code[:-1]
-                starts = np.flatnonzero(change)
+                # cell starts = term-code changes (codes >= 0; empty-safe)
+                starts = np.flatnonzero(np.diff(s_code, prepend=-1))
 
-                pos_vals = None
-                pay_cells = None
+                pos_vals = pay_vals = None
                 if with_positions:
                     pos_outer = tbl["positions"].combine_chunks().flatten()
                     pos_lens = np.asarray(pos_outer.value_lengths(), dtype=np.int64)
@@ -1024,25 +1077,21 @@ def build_index(
                     pos_vals = pos_all[gather]
                     if has_payloads:
                         # payloads align entry-for-entry with positions, so
-                        # the SAME gather re-orders them; stored per cell as
-                        # raw float32 bytes (the .pos-file payload analog)
+                        # the SAME gather re-orders them
                         pay_all = np.asarray(
                             tbl["payloads"].combine_chunks().flatten().flatten(),
                             dtype=np.float32,
                         )
-                        pay_cells = float32_cells(new_offsets[starts], pay_all[gather])
+                        pay_vals = pay_all[gather]
 
                 norm_sel = norm_mat[field_of_code[codes[order]], parent[order]]
-                cell_cols = encode_cells_columns(
-                    starts, doc_ids[parent][order], tfs_flat[order],
-                    NORM_TABLE[norm_sel], pos_vals,
-                )
                 out = {
                     "term": dict_enc.dictionary.take(pa.array(s_code[starts])),
-                    **cell_cols,
+                    **encode_cells_columns(
+                        starts, doc_ids[parent][order], tfs_flat[order],
+                        NORM_TABLE[norm_sel], pos_vals, pay_vals,
+                    ),
                 }
-                if pay_cells is not None:
-                    out["payloads"] = pay_cells
                 # canonical row order -> byte-stable partition files under resume
                 return pa.table(out).sort_by("term")
 
@@ -1059,45 +1108,11 @@ def build_index(
                 for pid, d in zip(batch["pid"].to_pylist(), batch["dir"].to_pylist()):
                     files = sorted(_glob.glob(os.path.join(d, "*.parquet")))
                     tbl = pq.read_table(files, columns=[c for c in cols if c != "partition_id"])
-                    out = invert_encode_partition(tbl, pid)
-                    out_dir = os.path.join(postings_dir, f"partition_id={pid}")
-                    os.makedirs(out_dir, exist_ok=True)
-                    # per-partition collection stats sidecar (rows, sum_dl) — the
-                    # doc-count/avgdl inputs of BM25 — then the postings file;
-                    # rename order makes the pair atomic under resume (the
-                    # partition is "done" only once postings.parquet exists).
-                    stats_tmp = os.path.join(out_dir, ".part_stats.tmp")
-                    with open(stats_tmp, "w") as fh:
-                        json.dump(
-                            {
-                                "partition_id": pid,
-                                "rows": tbl.num_rows,
-                                "sum_dl": int(np.asarray(tbl["dl"], dtype=np.int64).sum()),
-                                **{
-                                    f"sum_dl_{_f}": int(np.asarray(tbl[f"dl_{_f}"], dtype=np.int64).sum())
-                                    for _f in extra_text_fields
-                                },
-                            },
-                            fh,
-                        )
-                    os.replace(stats_tmp, os.path.join(out_dir, "_part_stats.json"))
-                    # exact first term per row group (sidecar): stage 6's
-                    # zero-shuffle range-merge regime prunes row groups with
-                    # these (no dependence on parquet statistics truncation
-                    # semantics); written before the postings rename so a
-                    # "done" partition always carries its sidecar.
-                    rg_rows = _postings_rg_rows(out.num_rows)
-                    firsts = [
-                        out["term"][i].as_py()
-                        for i in range(0, out.num_rows, rg_rows)
-                    ]
-                    rg_tmp = os.path.join(out_dir, ".rg_firsts.tmp")
-                    with open(rg_tmp, "w") as fh:
-                        json.dump(firsts, fh)
-                    os.replace(rg_tmp, os.path.join(out_dir, "_rg_firsts.json"))
-                    tmp = os.path.join(out_dir, ".postings.parquet.tmp")
-                    pq.write_table(out, tmp, row_group_size=rg_rows)
-                    os.replace(tmp, os.path.join(out_dir, "postings.parquet"))
+                    out = invert_encode_partition(tbl)
+                    write_postings_partition(
+                        os.path.join(postings_dir, f"partition_id={pid}"),
+                        pid, out, tbl, extra_text_fields,
+                    )
                     pids_done.append(pid)
                     n_cells.append(out.num_rows)
                 return pa.table({"pid": pa.array(pids_done, type=pa.int64()),
@@ -1119,113 +1134,12 @@ def build_index(
         if resume and _stage_done(index_dir, "stats"):
             return
         t0 = time.time()
-        # groupby on a string key is a slow sort exchange; hash the term to an
-        # int bucket (cheap int sort) and run Arrow's C++ hash-aggregation
-        # within each bucket — same result, ~10x faster.
-        from ..hashing import bucket_strings
-
-        def add_term_bucket(t: pa.Table) -> pa.Table:
-            h = bucket_strings(t["term"], 256)
-            return t.append_column("tb", pa.array(h, type=pa.int64()))
-
-        def agg_bucket(g: pa.Table) -> pa.Table:
-            out = g.group_by("term").aggregate([("df", "sum"), ("ttf", "sum")])
-            return out.rename_columns(["term", "df", "ttf"])
-
-        def agg_sorted(g: pa.Table) -> pa.Table:
-            return agg_bucket(g).sort_by("term")
-
-        # regime decision from parquet FOOTER metadata (driver-side, no Ray
-        # job for the count).  Three regimes:
-        #   - small (<= 2M cells): one Arrow C++ hash-aggregate task — the
-        #     fixed cost of any fan-out exceeds the work;
-        #   - range merge (default above 2M): partition postings are SORTED
-        #     by term, so B range-bucket tasks each read ONLY the row groups
-        #     intersecting their term range (exact first-term sidecars from
-        #     stage 5, parquet column stats as fallback) — ZERO shuffle, and
-        #     each bucket writes its terms_global shards directly (ranges are
-        #     disjoint, so shard files stay range-disjoint and the index
-        #     orders them by first term).  Measured 2.6x the single task at
-        #     8 CPUs on a 9.6M-cell corpus; the shuffle alternatives (hash
-        #     bucket + global sort) ship the term strings through an
-        #     exchange and lose to BOTH (see BASELINE.md round-5).
-        #   - bucketed exchange (fallback): pre-sidecar postings files with
-        #     one giant row group would make range tasks re-read whole
-        #     files, so resume-over-old-layout keeps the prior paths.
         import glob as _g0
 
-        post_files = sorted(
-            _g0.glob(os.path.join(postings_dir, "**", "*.parquet"), recursive=True)
+        write_terms_global(
+            sorted(_g0.glob(os.path.join(postings_dir, "**", "*.parquet"), recursive=True)),
+            os.path.join(index_dir, "terms_global"),
         )
-        n_cells = 0
-        file_firsts: "dict[str, list[str]] | None" = {}
-        for f in post_files:
-            md = pq.ParquetFile(f).metadata
-            n_cells += md.num_rows
-            if file_firsts is None:
-                continue
-            side = os.path.join(os.path.dirname(f), "_rg_firsts.json")
-            if os.path.exists(side):
-                with open(side) as fh:
-                    firsts = json.load(fh)
-                if len(firsts) == md.num_row_groups:
-                    file_firsts[f] = firsts
-                    continue
-            # fallback: exact column stats (terms are far below parquet's
-            # 4KB statistics cap, so min values are untruncated)
-            firsts = []
-            for i in range(md.num_row_groups):
-                st = md.row_group(i).column(0).statistics
-                if st is None or not st.has_min_max:
-                    firsts = None
-                    break
-                firsts.append(st.min)
-            if firsts is None:
-                file_firsts = None
-            else:
-                file_firsts[f] = firsts
-
-        # terms_global is written SORTED and range-sharded: each <=
-        # TERMS_SHARD_ROWS slice of the sorted stream becomes one shard file
-        # (atomic tmp+rename, name = first-term digest — unique because shard
-        # key ranges are disjoint), and `_shard_index.json` records (first
-        # term, rows) per shard ORDERED BY FIRST TERM.  Readers binary-search
-        # the tiny index and lazy-load only the shards a query touches — the
-        # .tip/.tim split of BlockTreeTermsReader (see index/termshards.py).
-        import shutil as _sh
-
-        from .termshards import write_shard_index
-
-        tg_dir = os.path.join(index_dir, "terms_global")
-        if os.path.exists(tg_dir):
-            _sh.rmtree(tg_dir)
-        os.makedirs(tg_dir, exist_ok=True)
-
-        avg_rgs = 0
-        if file_firsts and post_files:
-            avg_rgs = sum(len(v) for v in file_firsts.values()) // len(post_files)
-        if (n_cells > STATS_MERGE_MIN_CELLS and file_firsts
-                and avg_rgs >= STATS_MERGE_MIN_AVG_RGS):
-            _merge_term_stats(post_files, file_firsts, n_cells, avg_rgs, tg_dir)
-        else:
-            if n_cells <= 10_000_000:
-                cells = _read_sized(postings_dir, columns=["term", "df", "ttf"])
-                stats = cells.repartition(1).map_batches(
-                    agg_sorted, batch_format="pyarrow", batch_size=None
-                )
-            else:
-                cells = _read_sized(postings_dir, columns=["term", "df", "ttf"])
-                stats = (
-                    cells.map_batches(add_term_bucket, batch_format="pyarrow")
-                    .groupby("tb")
-                    .map_groups(agg_bucket, batch_format="pyarrow")
-                    .sort("term")
-                )
-            stats.map_batches(
-                _ShardWriter(tg_dir), batch_format="pyarrow",
-                batch_size=TERMS_SHARD_ROWS,
-            ).materialize()
-        write_shard_index(tg_dir)
 
         parts = []
         for f in sorted(_g0.glob(os.path.join(postings_dir, "partition_id=*", "_part_stats.json"))):

@@ -118,18 +118,23 @@ def mask_deleted(deleted: np.ndarray, docs: np.ndarray) -> np.ndarray:
 
 
 def _expunge_partition(index_dir: str, out_dir: str, pid: int, deleted: np.ndarray,
-                       with_positions: bool) -> dict:
+                       extra_text_fields=()) -> dict:
     """Rewrite ONE partition without its tombstoned docs (pure partition-local
     work — the unit the driver fans out as Ray tasks).  Returns the new
     per-partition stats row."""
-    import glob as _glob
-
     from ..smallfloat import NORM_TABLE
-    from .postings import decode_docs_freqs, decode_positions, encode_cell
+    from ..stages.tokenize import FIELD_SEP
+    from .build import write_postings_partition
+    from .postings import (
+        decode_docs_freqs,
+        decode_payloads,
+        decode_positions,
+        encode_cells_columns,
+    )
 
     def part_files(sub: str) -> list[str]:
         return sorted(
-            _glob.glob(os.path.join(index_dir, sub, f"partition_id={pid}", "*.parquet"))
+            glob.glob(os.path.join(index_dir, sub, f"partition_id={pid}", "*.parquet"))
         )
 
     def out_sub(sub: str) -> str:
@@ -158,48 +163,48 @@ def _expunge_partition(index_dir: str, out_dir: str, pid: int, deleted: np.ndarr
         if n.startswith("norm_"):
             norms_of[n[len("norm_"):]] = np.asarray(dm[n], dtype=np.uint8)
 
-    # postings: decode -> mask -> re-encode (FOR blocks + skip/block-max
+    # postings: decode -> mask per cell, then re-encode every surviving cell
+    # in one batch with the build's encoder (FOR blocks + skip/block-max
     # sidecars rebuilt for the surviving docs); empty cells are dropped
-    pfiles = part_files("postings")
-    rows: list[dict] = []
-    if pfiles:
-        t = pq.read_table(pfiles).combine_chunks()
-        from ..stages.tokenize import FIELD_SEP
+    t = pq.read_table(part_files("postings")).combine_chunks()
+    has_pos = "positions" in t.column_names
+    has_pay = "payloads" in t.column_names
+    terms, docs_l, tfs_l, dls_l, pos_l, pay_l = [], [], [], [], [], []
+    for i, (key, df) in enumerate(zip(t["term"].to_pylist(), t["df"].to_pylist())):
+        docs, tfs = decode_docs_freqs(t["docs"][i].as_py(), t["freqs"][i].as_py(), df)
+        keep = mask_deleted(deleted, docs)
+        if not keep.any():
+            continue
+        kept = np.flatnonzero(keep).tolist()
+        if has_pos:
+            per_doc = decode_positions(t["positions"][i].as_py(), tfs)
+            pos_l += [per_doc[j] for j in kept]
+        if has_pay:
+            per_doc = decode_payloads(t["payloads"][i].as_py(), tfs)
+            pay_l += [per_doc[j] for j in kept]
+        docs, tfs = docs[keep], tfs[keep]
+        field = key.split(FIELD_SEP, 1)[0] if FIELD_SEP in key else "text"
+        nb = norms_of.get(field, norms_of["text"])[np.searchsorted(doc_ids, docs)]
+        terms.append(key)
+        docs_l.append(docs)
+        tfs_l.append(tfs)
+        dls_l.append(NORM_TABLE[nb])
 
-        for i in range(t.num_rows):
-            key = t["term"][i].as_py()
-            docs, tfs = decode_docs_freqs(
-                t["docs"][i].as_py(), t["freqs"][i].as_py(), int(t["df"][i].as_py())
-            )
-            keep = mask_deleted(deleted, docs)
-            if not keep.any():
-                continue
-            pls = None
-            if with_positions and "positions" in t.column_names:
-                pls = decode_positions(t["positions"][i].as_py(), tfs)
-                pls = [pls[j] for j in np.flatnonzero(keep).tolist()]
-            docs, tfs = docs[keep], tfs[keep]
-            field = key.split(FIELD_SEP, 1)[0] if FIELD_SEP in key else "text"
-            nb = norms_of.get(field, norms_of["text"])[
-                np.searchsorted(doc_ids, docs)
-            ]
-            row = encode_cell(docs, tfs, NORM_TABLE[nb], positions=pls)
-            row["term"] = key
-            rows.append(row)
-    if rows:
-        from .build import _postings_rg_rows
+    def cat(parts, dtype):
+        return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
 
-        cols = {k: [r[k] for r in rows] for k in rows[0]}
-        out_t = pa.table(cols)
-        # same layout + exact row-group first-term sidecar as a fresh build
-        # (stage 5), so stage-6's range-merge regime applies to expunged
-        # partitions too
-        rg_rows = _postings_rg_rows(out_t.num_rows)
-        firsts = [out_t["term"][i].as_py() for i in range(0, out_t.num_rows, rg_rows)]
-        with open(os.path.join(out_sub("postings"), "_rg_firsts.json"), "w") as fh:
-            json.dump(firsts, fh)
-        pq.write_table(out_t, os.path.join(out_sub("postings"), "postings.parquet"),
-                       row_group_size=rg_rows)
+    df_l = np.array([len(d) for d in docs_l], dtype=np.int64)
+    cells = {
+        "term": pa.array(terms, type=pa.string()),
+        **encode_cells_columns(
+            np.cumsum(df_l) - df_l, cat(docs_l, np.int64), cat(tfs_l, np.int64),
+            cat(dls_l, np.float32), cat(pos_l, np.int64) if has_pos else None,
+            cat(pay_l, np.float32) if has_pay else None,
+        ),
+    }
+    stats = write_postings_partition(
+        out_sub("postings"), pid, pa.table(cells), dm_live, extra_text_fields
+    )
 
     # stored fields + tokenized checkpoint (term-vectors source): filter rows
     for sub in ("stored", "tokenized"):
@@ -210,18 +215,6 @@ def _expunge_partition(index_dir: str, out_dir: str, pid: int, deleted: np.ndarr
         lm = mask_deleted(deleted, np.asarray(st["doc_id"], dtype=np.int64))
         pq.write_table(st.filter(pa.array(lm)), os.path.join(out_sub(sub), f"{sub}.parquet"))
 
-    stats = {
-        "partition_id": pid,
-        "rows": int(live.sum()),
-        "sum_dl": int(np.asarray(dm_live["dl"], dtype=np.int64).sum()) if dm_live.num_rows else 0,
-    }
-    for n in dm.column_names:
-        if n.startswith("dl_"):
-            stats[f"sum_{n}"] = (
-                int(np.asarray(dm_live[n], dtype=np.int64).sum()) if dm_live.num_rows else 0
-            )
-    with open(os.path.join(out_sub("postings"), "_part_stats.json"), "w") as f:
-        json.dump(stats, f)
     return stats
 
 
@@ -236,17 +229,17 @@ def expunge_deletes(index_dir: str, out_dir: str) -> dict:
 
     Ray shape: one task per partition (partition-local decode -> mask ->
     re-encode, embarrassingly parallel like the build's encode stage); the
-    terms_global rebuild is the build's small-aggregate pattern over the new
-    per-cell stats.  Facet dictionaries are copied verbatim (values that only
-    occurred in deleted docs remain with zero counts — the reference keeps
-    dictionary terms until a full merge rewrites them)."""
-    import hashlib as _hl
+    partitions and terms_global are written by the build's own writers
+    (``write_postings_partition``, ``write_terms_global``), so an expunged
+    index has a fresh build's layout and schema.  Facet dictionaries are
+    copied verbatim (values that only occurred in deleted docs remain with
+    zero counts — the reference keeps dictionary terms until a full merge
+    rewrites them)."""
     import shutil
 
     import ray
 
-    from .build import load_manifest
-    from .termshards import write_shard_index
+    from .build import load_manifest, write_terms_global
 
     man = load_manifest(index_dir)
     if man.get("members"):
@@ -259,7 +252,7 @@ def expunge_deletes(index_dir: str, out_dir: str) -> dict:
     dref = ray.put(deleted)
     stats = ray.get(
         [
-            fn.remote(index_dir, out_dir, pid, dref, man["with_positions"])
+            fn.remote(index_dir, out_dir, pid, dref, man.get("extra_text_fields", ()))
             for pid in pids
         ]
     )
@@ -271,41 +264,10 @@ def expunge_deletes(index_dir: str, out_dir: str) -> dict:
         if os.path.isdir(src):
             shutil.copytree(src, os.path.join(out_dir, sub), dirs_exist_ok=True)
 
-    # terms_global: re-aggregate (term, df, ttf) over the new cells — the
-    # maintenance-job variant of build stage 6 (small aggregate; a corpus
-    # whose per-partition vocab exceeds RAM uses the build's bucketed path
-    # on the same files)
-    import glob as _glob
-
-    acc: dict[str, tuple[int, int]] = {}
-    for f in sorted(_glob.glob(os.path.join(out_dir, "postings", "partition_id=*", "postings.parquet"))):
-        t = pq.read_table(f, columns=["term", "df", "ttf"])
-        for term, df, ttf in zip(
-            t["term"].to_pylist(), t["df"].to_pylist(), t["ttf"].to_pylist()
-        ):
-            d, tt = acc.get(term, (0, 0))
-            acc[term] = (d + int(df), tt + int(ttf))
-    terms = sorted(acc)
-    tg_dir = os.path.join(out_dir, "terms_global")
-    if os.path.exists(tg_dir):
-        shutil.rmtree(tg_dir)
-    os.makedirs(tg_dir)
-    from .build import TERMS_SHARD_ROWS
-
-    for s in range(0, max(len(terms), 1), TERMS_SHARD_ROWS):
-        chunk = terms[s : s + TERMS_SHARD_ROWS]
-        if not chunk:
-            break
-        t = pa.table(
-            {
-                "term": pa.array(chunk, type=pa.string()),
-                "df": pa.array([acc[x][0] for x in chunk], type=pa.int64()),
-                "ttf": pa.array([acc[x][1] for x in chunk], type=pa.int64()),
-            }
-        )
-        h = _hl.md5(chunk[0].encode("utf-8")).hexdigest()[:16]
-        pq.write_table(t, os.path.join(tg_dir, f"shard-{h}.parquet"))
-    write_shard_index(tg_dir)
+    write_terms_global(
+        sorted(glob.glob(os.path.join(out_dir, "postings", "partition_id=*", "postings.parquet"))),
+        os.path.join(out_dir, "terms_global"),
+    )
 
     new_man = dict(man)
     new_man["max_doc"] = sum(p["rows"] for p in stats)

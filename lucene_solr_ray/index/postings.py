@@ -28,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 BLOCK = 128  # Lucene41PostingsFormat.BLOCK_SIZE (:388)
+_POW2 = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
 __all__ = ["BLOCK", "encode_cell", "encode_cells_columns", "decode_docs_freqs", "decode_positions"]
 
@@ -53,12 +54,10 @@ def _pack_for_blocks(vals_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     the bit expansion + packbits runs once per DISTINCT width (~a dozen
     calls) instead of once per block (~thousands per partition — 35% of
     the postings task, BASELINE.md round-5 profile)."""
-    nb = vals_mat.shape[0]
-    m = vals_mat.max(axis=1)
-    widths = np.ones(nb, dtype=np.int64)
-    nz = m > 0
-    # floor(log2(m)) + 1 == bit_length(m); exact in float64 for m < 2^53
-    widths[nz] = np.floor(np.log2(m[nz].astype(np.float64))).astype(np.int64) + 1
+    # width = bit_length(block max) = the count of powers of two <= max:
+    # exact on the full uint64 domain, where float log2 is not (>= 2^53 - 1)
+    m = vals_mat.max(axis=1).astype(np.uint64)
+    widths = np.maximum(1, np.searchsorted(_POW2, m, side="right")).astype(np.int64)
     sizes = 1 + (BLOCK * widths + 7) // 8  # BLOCK*w bits is byte-aligned
     offs = np.concatenate(([0], np.cumsum(sizes)))
     out = np.zeros(int(offs[-1]), dtype=np.uint8)
@@ -174,7 +173,9 @@ def encode_cell(
     dls: np.ndarray,
     positions: list[np.ndarray] | None = None,
 ) -> dict:
-    """Encode one (term, partition) posting cell.
+    """Encode one (term, partition) posting cell — the per-cell reference
+    encoder (the spec the batched :func:`encode_cells_columns` is gated
+    against in tests; the index writers use the batched one).
 
     ``doc_ids`` must be sorted ascending; ``dls`` are the *decoded* quantized
     doc lengths (``NORM_TABLE[norm_byte]``) used only for block-max metadata.
@@ -254,26 +255,49 @@ def _vbyte_lengths(v: np.ndarray) -> np.ndarray:
     return nb
 
 
+def _int32_offsets(offs: np.ndarray, column: str) -> np.ndarray:
+    """int64 offsets -> the int32 offsets of ``pa.binary()`` / list columns.
+    Offsets are non-decreasing, so the last one bounds them all: a partition
+    whose ``column`` outgrows the int32 range (2 GiB of binary payload)
+    raises instead of wrapping into a silently corrupt column."""
+    offs = np.asarray(offs, dtype=np.int64)
+    if len(offs) and int(offs[-1]) > np.iinfo(np.int32).max:
+        raise ValueError(
+            f"postings column {column!r}: offset {int(offs[-1])} exceeds the "
+            "int32 range of one partition's column (2 GiB); lower rows_per_partition"
+        )
+    return offs.astype(np.int32)
+
+
 def encode_cells_columns(
     starts: np.ndarray,
     docs: np.ndarray,
     tfs: np.ndarray,
     dls: np.ndarray,
     pos_vals: np.ndarray | None = None,
+    pay_vals: np.ndarray | None = None,
 ) -> dict:
     """Vectorized encoding of MANY posting cells at once.
 
     ``starts``: cell boundaries into the flat arrays (``docs`` sorted asc
     within each cell); ``pos_vals``: all positions concatenated in (cell, doc)
-    order — per-doc counts are the tfs.  Cells with >= BLOCK docs fall back to
-    :func:`encode_cell` (FOR blocks); the long tail of small cells (the vast
-    majority under a Zipf vocabulary) is encoded with TWO vbyte passes total
-    instead of per-cell Python, which is what makes the encode stage scale.
+    order — per-doc counts are the tfs; ``pay_vals``: float payloads aligned
+    entry-for-entry with ``pos_vals`` (stored by :func:`float32_cells`).
+    Cells with >= BLOCK docs get FOR blocks, packed for all of them in one
+    width-grouped pass; the long tail of small cells (the vast majority
+    under a Zipf vocabulary) is encoded with TWO vbyte passes total instead
+    of per-cell Python, which is what makes the encode stage scale.  Output is byte-identical to per-cell
+    :func:`encode_cell` (differential gates in tests/test_postings.py).
     Returns a dict of ready pyarrow arrays (one entry per cell, input order):
-    df, ttf, docs, freqs, skip_*, bm_*, [positions].
+    df, ttf, skip_*, bm_*, docs, freqs, [positions], [payloads] — the same
+    columns and types, with no rows, when there are no cells.
     """
     if len(starts) == 0:
-        return {}
+        one = encode_cells_columns(
+            [0], [0], [1], [0.0], None if pos_vals is None else [0],
+            None if pay_vals is None else [0.0],
+        )
+        return {k: v.slice(0, 0) for k, v in one.items()}
     n = len(docs)
     starts = np.asarray(starts, dtype=np.int64)
     ends = np.append(starts[1:], n)
@@ -329,7 +353,7 @@ def encode_cells_columns(
     if pos_vals is not None:
         pb1 = np.where(cell_p_end > 0, pos_b_end[np.maximum(cell_p_end - 1, 0)], 0)
 
-    def _binary_col(buf_bytes: bytes, cell_end_bytes: np.ndarray,
+    def _binary_col(name: str, buf_bytes: bytes, cell_end_bytes: np.ndarray,
                     head_blobs: "dict[int, bytes] | None" = None) -> "pa.Array":
         """Zero-copy binary column: per-cell slices of *buf_bytes* are
         CONTIGUOUS (cell i ends where i+1 starts), so the column is just
@@ -341,7 +365,7 @@ def encode_cells_columns(
             offs[1:] = cell_end_bytes
             return pa.Array.from_buffers(
                 pa.binary(), ncells,
-                [None, pa.py_buffer(offs.astype(np.int32).tobytes()),
+                [None, pa.py_buffer(_int32_offsets(offs, name).tobytes()),
                  pa.py_buffer(buf_bytes)],
             )
         new_lens = np.empty(ncells, dtype=np.int64)
@@ -364,7 +388,7 @@ def encode_cells_columns(
         np.cumsum(new_lens, out=offs[1:])
         return pa.Array.from_buffers(
             pa.binary(), ncells,
-            [None, pa.py_buffer(offs.astype(np.int32).tobytes()),
+            [None, pa.py_buffer(_int32_offsets(offs, name).tobytes()),
              pa.py_buffer(b"".join(segs))],
         )
 
@@ -465,7 +489,7 @@ def encode_cells_columns(
         counts = np.ones(ncells, dtype=np.int64)
         for ci, row in patch.items():
             counts[ci] = len(row["skip_first_doc"])
-        offs = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
+        offs = _int32_offsets(np.concatenate(([0], np.cumsum(counts))), "skip/block-max lists")
 
         def _patched(key, dtype, scalar_vals):
             np_dtype = np.float32 if dtype == pa.float32() else np.int64
@@ -483,15 +507,18 @@ def encode_cells_columns(
         cols["bm_min_dl"] = _patched("bm_min_dl", pa.float32(), min_dls)
 
     cols["docs"] = _binary_col(
-        docs_mv, db1, {ci: r["docs"] for ci, r in patch.items()} if patch else None
+        "docs", docs_mv, db1, {ci: r["docs"] for ci, r in patch.items()} if patch else None
     )
     cols["freqs"] = _binary_col(
-        tfs_mv, tb1, {ci: r["freqs"] for ci, r in patch.items()} if patch else None
+        "freqs", tfs_mv, tb1, {ci: r["freqs"] for ci, r in patch.items()} if patch else None
     )
     if pos_vals is not None:
         # positions never need a head patch: the head path's per-doc
         # prepend-0 vbyte deltas are exactly the slices already in pos_mv
-        cols["positions"] = _binary_col(pos_mv, pb1)
+        cols["positions"] = _binary_col("positions", pos_mv, pb1)
+    if pay_vals is not None:
+        # a cell's payloads start where its positions do
+        cols["payloads"] = float32_cells(cell_p_start, pay_vals)
     return cols
 
 
@@ -546,13 +573,11 @@ def float32_cells(cell_val_starts: np.ndarray, vals: np.ndarray) -> "pa.Array":
     import pyarrow as pa
 
     vals = np.ascontiguousarray(vals, dtype="<f4")
-    starts = np.asarray(cell_val_starts, dtype=np.int64)
-    byte_off = np.empty(len(starts) + 1, dtype=np.int32)
-    byte_off[:-1] = starts * 4
-    byte_off[-1] = len(vals) * 4
+    byte_off = np.append(np.asarray(cell_val_starts, dtype=np.int64), len(vals)) * 4
+    byte_off = _int32_offsets(byte_off, "payloads")
     return pa.BinaryArray.from_buffers(
         pa.binary(),
-        len(starts),
+        len(byte_off) - 1,
         [None, pa.py_buffer(byte_off.tobytes()), pa.py_buffer(vals.tobytes())],
     )
 

@@ -8,11 +8,12 @@ demand into a small LRU.  Replaces the round-2 whole-table ``terms_global``
 load — the last O(vocab)-per-actor structure: a query actor now holds
 O(touched shards), not O(vocab), regardless of corpus vocabulary size.
 
-Layout contract: ``terms_global/`` holds shard files whose zero-padded names
-sort in GLOBAL term order (the build writes them from a sorted Dataset with
-an order-preserving FilenameProvider), each internally sorted by term bytes.
-Global term ordinals are the concatenation order — identical to the round-2
-single-table ordinals, so every consumer keeps its index arithmetic.
+Layout contract: ``terms_global/`` holds shard files with disjoint key
+ranges, each internally sorted by term bytes, written only by
+``build.write_terms_global``; ``_shard_index.json`` lists them in FIRST-TERM
+order.  Global term ordinals are the concatenation in that order —
+identical to the round-2 single-table ordinals, so every consumer keeps its
+index arithmetic.
 """
 
 from __future__ import annotations
@@ -30,10 +31,6 @@ from .termdict import SortedStrings
 SHARD_INDEX = "_shard_index.json"
 _HI_KEY = b"\xff\xff\xff\xff"
 
-# mmap-backed shard loads (round-4, ROADMAP "640M-ordinal regime"): ON by
-# default; LSR_MMAP_DICTS=0 falls back to heap parquet reads everywhere.
-_MMAP_ON = os.environ.get("LSR_MMAP_DICTS", "1") != "0"
-
 
 def _load_shard_table(dir_path: str, fname: str):
     """Load one shard with FILE-BACKED buffers instead of heap.
@@ -44,12 +41,11 @@ def _load_shard_table(dir_path: str, fname: str):
     pages the kernel caches and evicts under pressure, so an actor's HEAP
     stays O(LRU handles) — flat — however large the vocabulary grows (the
     mmap analog of Lucene's ``MMapDirectory`` terms index).  Falls back to
-    the heap read when the directory is read-only or mmap is disabled."""
+    the heap read when the sidecar cannot be written (read-only index
+    directory)."""
     import pyarrow as pa
 
     src = os.path.join(dir_path, fname)
-    if not _MMAP_ON:
-        return pq.read_table(src).combine_chunks()
     # "_" prefix: Arrow dataset discovery (and so ray.data.read_parquet over
     # the shard directory) ignores '_'/'.'-prefixed files, so the sidecar
     # never shadows the parquet shards for directory-level readers

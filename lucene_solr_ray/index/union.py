@@ -13,7 +13,8 @@ writes a UNION manifest that references the member artifacts in place:
   per-member ``old_ord -> global_ord`` remap table (the OrdinalMap);
   remaps are strictly increasing, so member-local ordinals are recovered by
   binary search (RankBitSet-free simplification);
-* global term stats = summed member ``terms_global`` tables;
+* global term stats = member ``terms_global`` shards summed by the build's
+  dictionary writer (``write_terms_global``);
 * members must share build config (analyzer, rows_per_partition, positions,
   fields) and have disjoint partition_id ranges — guaranteed when input
   doc_id ranges are disjoint, since partition ids are content-derived.
@@ -25,6 +26,7 @@ over the concatenated input (differential test).
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 
@@ -32,7 +34,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from .build import load_manifest
+from .build import load_manifest, write_terms_global
 
 
 def union_indexes(member_dirs: list[str], out_dir: str) -> dict:
@@ -75,21 +77,16 @@ def union_indexes(member_dirs: list[str], out_dir: str) -> dict:
                 os.path.join(remaps_dir, f"m{mi}_{f}.parquet"),
             )
 
-    # ---- global term stats -------------------------------------------------
-    tables = [pq.read_table(os.path.join(d, "terms_global")) for d in members]
-    merged = pa.concat_tables(tables).group_by("term").aggregate([("df", "sum"), ("ttf", "sum")])
-    merged = merged.rename_columns(["term", "df", "ttf"]).sort_by("term")
-    tg_dir = os.path.join(out_dir, "terms_global")
-    os.makedirs(tg_dir, exist_ok=True)
-    from .build import TERMS_SHARD_ROWS
-    from .termshards import write_shard_index
-
-    for si in range(0, max(1, merged.num_rows), TERMS_SHARD_ROWS):
-        pq.write_table(
-            merged.slice(si, TERMS_SHARD_ROWS),
-            os.path.join(tg_dir, f"shard-{si // TERMS_SHARD_ROWS:06d}-000000.parquet"),
-        )
-    write_shard_index(tg_dir)
+    # ---- global term stats: the members' term-sorted shards, summed by the
+    # build's own dictionary writer ------------------------------------------
+    write_terms_global(
+        [
+            f
+            for d in members
+            for f in sorted(glob.glob(os.path.join(d, "terms_global", "*.parquet")))
+        ],
+        os.path.join(out_dir, "terms_global"),
+    )
 
     # ---- inherited tombstones ----------------------------------------------
     # Members' live-docs generations carry over into the union commit (the

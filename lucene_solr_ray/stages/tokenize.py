@@ -31,7 +31,6 @@ from ..analysis.tokenizer import (
     _L,
     _MID_C,
     _SCANNER_FLAT,
-    _SIMPLE,
     analyze,
     simple_tokenize,
 )
@@ -56,10 +55,6 @@ _TOKEN_CHARS = f"{_L}{_D}_{_MID_C}{_IDEO_C}{_HIRA_C}{_KATA_C}{_HANG_C}"
 _DELIM_RE = f"[^{_TOKEN_CHARS}]+"
 _PURE_RE = f"^[{_L}{_D}_]+$"  # exactly one _WORD token: itself
 _SIMPLE_DELIM_RE = "[^a-z0-9]+"
-
-
-def _text_or_empty(t):
-    return t if t else ""
 
 
 def _lower_or_empty(t):
@@ -156,56 +151,6 @@ def postings_analyzer(analyzer: str):
     return fn
 
 
-def _scan_stream_findall(texts: list, analyzer: str) -> tuple:
-    """Per-doc C ``findall`` scan -> post-filter flat stream
-    ``(codes int64, dict StringArray, f_doc int32, f_pos int32, dl int64)``.
-    The pre-Arrow-scan fast path, kept as the ``LSR_ARROW_SCAN=0`` escape
-    hatch and the differential reference for :func:`_scan_stream_arrow`."""
-    n = len(texts)
-    rex = _SCANNER_FLAT if analyzer == "standard" else _SIMPLE
-    if analyzer == "standard":
-        # C-level map: no per-doc interpreter frame (None/empty -> no tokens)
-        toks_per_doc = list(map(rex.findall, map(_text_or_empty, texts)))
-    else:  # simple lowers the whole doc first
-        toks_per_doc = list(map(rex.findall, map(_lower_or_empty, texts)))
-    lens = np.fromiter(map(len, toks_per_doc), dtype=np.int64, count=n)
-    total = int(lens.sum())
-    # int32 index/pos columns: half the memory traffic of the int64 originals
-    # (a batch's token count and row count are far below 2^31)
-    doc_idx = np.repeat(np.arange(n, dtype=np.int32), lens)
-    doc_tok0 = np.concatenate(([0], np.cumsum(lens, dtype=np.int64)[:-1]))
-    pos = np.arange(total, dtype=np.int32) - np.repeat(
-        doc_tok0.astype(np.int32), lens
-    )
-
-    from itertools import chain as _chain
-
-    flat = pa.array(list(_chain.from_iterable(toks_per_doc)), type=pa.string())
-    if analyzer == "standard":
-        low = pc.utf8_lower(flat)
-        keep_pa = pc.and_(
-            pc.less_equal(pc.utf8_length(flat), MAX_TOKEN_LENGTH),
-            pc.invert(pc.is_in(low, value_set=_STOP_ARR)),
-        )
-        keep = np.asarray(keep_pa)
-        f_terms = low.filter(keep_pa)
-        f_doc, f_pos = doc_idx[keep], pos[keep]
-        dl = np.bincount(f_doc, minlength=n).astype(np.int64) if len(f_doc) else np.zeros(n, np.int64)
-    else:
-        f_terms, f_doc, f_pos = flat, doc_idx, pos
-        dl = lens
-    if len(f_terms) == 0:
-        return None, None, f_doc, f_pos, dl
-    enc = pc.dictionary_encode(f_terms)
-    return (
-        np.asarray(enc.indices, dtype=np.int64),
-        enc.dictionary,
-        f_doc,
-        f_pos,
-        dl,
-    )
-
-
 def _flatten_list_column(col):
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
@@ -213,10 +158,12 @@ def _flatten_list_column(col):
 
 
 def _scan_stream_arrow(texts: list, analyzer: str) -> tuple:
-    """re2 chunk-split scan (see module constants above) -> same contract as
-    :func:`_scan_stream_findall`.  All stream-sized work is Arrow/numpy; the
-    only Python loop is ``findall`` over the DICTIONARY-UNIQUE impure chunks
-    (vocab-scale, not token-scale)."""
+    """re2 chunk-split scan (see module constants above) -> the post-filter
+    flat token stream ``(codes int64, dict StringArray, f_doc int32, f_pos
+    int32, dl int64)`` (codes/dict are None when no token survives).  All
+    stream-sized work is Arrow/numpy; the only Python loop is ``findall``
+    over the DICTIONARY-UNIQUE impure chunks (vocab-scale, not
+    token-scale)."""
     n = len(texts)
     if analyzer == "simple":
         # byte-parity with the row loop: Python str.lower on the whole doc
@@ -335,10 +282,9 @@ def _vectorized_postings_columns(
 ) -> tuple:
     """Whole-batch standard/simple analysis with no per-token Python.
 
-    The scan front end produces the post-filter flat (term-code, doc, pos)
-    stream — by default via the Arrow re2 chunk scan
-    (:func:`_scan_stream_arrow`; ``LSR_ARROW_SCAN=0`` falls back to the
-    per-doc ``findall`` scan) — and the grouping back end turns it into
+    The scan front end (the Arrow re2 chunk scan,
+    :func:`_scan_stream_arrow`) produces the post-filter flat (term-code,
+    doc, pos) stream, and the grouping back end turns it into
     per-doc term/tf/position lists in three numpy passes.  Output is
     IDENTICAL to aggregating :func:`postings_analyzer` row by row (same
     per-doc first-occurrence term order, same pre-stop-removal positions, the
@@ -349,15 +295,8 @@ def _vectorized_postings_columns(
     -> (terms ListArray, tfs ListArray, positions ListArray | None,
         dl int64 ndarray)
     """
-    import os as _os
-
     n = len(texts)
-    scan = (
-        _scan_stream_arrow
-        if _os.environ.get("LSR_ARROW_SCAN", "1") != "0"
-        else _scan_stream_findall
-    )
-    codes, dict_arr, f_doc, f_pos, dl = scan(texts, analyzer)
+    codes, dict_arr, f_doc, f_pos, dl = _scan_stream_arrow(texts, analyzer)
 
     if codes is None:
         off0 = pa.array(np.zeros(n + 1, dtype=np.int32))
@@ -512,8 +451,6 @@ def tokenize_batch(
     Null/missing text → empty token list, dl=0 (norm byte 255 = inf norm,
     matching Java boost/sqrt(0)=inf — such docs match nothing).
     """
-    import os as _os
-
     if analyzer == "whitespace_payload":
         if not with_positions or extra_text_fields:
             raise ValueError(
@@ -521,11 +458,7 @@ def tokenize_batch(
             )
         return tokenize_payload_batch(batch)
 
-    if (
-        analyzer in ("standard", "simple")
-        and not extra_text_fields
-        and _os.environ.get("LSR_VECTOR_TOKENIZE", "1") != "0"
-    ):
+    if analyzer in ("standard", "simple") and not extra_text_fields:
         # vectorized fast path (identical output to the row loop below)
         texts = batch.column("text").to_pylist()
         terms_l, tfs_l, pos_l, dl = _vectorized_postings_columns(

@@ -138,25 +138,18 @@ def test_point_in_time_readers(deleted_index):
         del clear_deletes  # imported for symmetry; not used
 
 
-def test_expunge_equals_fresh_build_over_filtered_input(ray_session, tmp_path):
-    """expungeDeletes == a fresh build over the filtered table: doc ids are
-    content-derived, so hit sets AND float32 scores must be bit-identical,
-    and the recomputed global stats must match."""
+@pytest.fixture(scope="module")
+def expunged_and_fresh(ray_session, tmp_path_factory):
+    """(expunged index, fresh build over the same input minus the deleted
+    rows) with doc_id % 5 == 2 deleted."""
     import pyarrow as pa
     import pyarrow.parquet as pqf
 
     from lucene_solr_ray.index.build import build_index
     from lucene_solr_ray.index.deletes import apply_deletes, expunge_deletes
-    from lucene_solr_ray.index.reader import GlobalStats, LocalIndex
     from lucene_solr_ray.pipelines.fulltext import documents_index
-    from lucene_solr_ray.query.ast import (
-        BoolQ,
-        Evaluator,
-        MatchAllQ,
-        PhraseQ,
-        TermQ,
-    )
 
+    tmp_path = tmp_path_factory.mktemp("expunge")
     base = documents_index(SF)
     ix = str(tmp_path / "ix")
     shutil.copytree(base, ix)
@@ -177,7 +170,23 @@ def test_expunge_equals_fresh_build_over_filtered_input(ray_session, tmp_path):
         dedup_url=False, analyzer="simple", facet_fields=("lang", "source"),
         numeric_fields=("n_chars",),
     )
+    return out, fresh
 
+
+def test_expunge_equals_fresh_build_over_filtered_input(expunged_and_fresh):
+    """expungeDeletes == a fresh build over the filtered table: doc ids are
+    content-derived, so hit sets AND float32 scores must be bit-identical,
+    and the recomputed global stats must match."""
+    from lucene_solr_ray.index.reader import GlobalStats, LocalIndex
+    from lucene_solr_ray.query.ast import (
+        BoolQ,
+        Evaluator,
+        MatchAllQ,
+        PhraseQ,
+        TermQ,
+    )
+
+    out, fresh = expunged_and_fresh
     ev_x = Evaluator(LocalIndex(out))
     ev_f = Evaluator(LocalIndex(fresh))
     for q in (
@@ -196,3 +205,35 @@ def test_expunge_equals_fresh_build_over_filtered_input(ray_session, tmp_path):
     for t in ("join", "hash", "window", "the"):
         assert gx.df.get(t, 0) == gf.df.get(t, 0), t
         assert gx.ttf.get(t, 0) == gf.ttf.get(t, 0), t
+
+
+def test_expunged_artifacts_equal_fresh_build(expunged_and_fresh):
+    """Expunge writes through the build's own writers, so its postings
+    partitions (the same schema: column order, float32 block-max lengths)
+    with their sidecars, and its terms_global, are byte-identical to a
+    fresh build over the surviving rows."""
+    import glob
+    import hashlib
+
+    import pyarrow.parquet as pqf
+
+    out, fresh = expunged_and_fresh
+
+    def files(ix):
+        # (not the per-node mmap sidecars queries leave in terms_global/)
+        pats = ("postings/partition_id=*/*", "terms_global/*.parquet",
+                "terms_global/_shard_index.json")
+        return sorted(
+            os.path.relpath(f, ix) for p in pats for f in glob.glob(os.path.join(ix, p))
+        )
+
+    def digest(path):
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+
+    assert files(out) == files(fresh)
+    want = pqf.read_schema(glob.glob(os.path.join(fresh, "postings", "*", "postings.parquet"))[0])
+    for f in files(out):
+        if f.endswith("postings.parquet"):
+            assert pqf.read_schema(os.path.join(out, f)) == want, f
+        assert digest(os.path.join(out, f)) == digest(os.path.join(fresh, f)), f

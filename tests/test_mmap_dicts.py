@@ -6,20 +6,23 @@ pool, so loading/searching shards through the mmap path must allocate ~0
 HEAP bytes however many shards are touched — while the heap (parquet) path
 allocates at least the shard payload.  (Process RSS would also count
 resident mapped pages, which the kernel can evict; pool bytes are the
-deterministic form of the assertion.)
+deterministic form of the assertion.)  The heap path is reached the way
+production reaches it: the IPC sidecar cannot be written (read-only index
+directory).
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from lucene_solr_ray.index import termshards
 from lucene_solr_ray.index.termshards import (
+    SHARD_INDEX,
     ShardedOrdinalMapper,
     ShardedTermTable,
     write_shard_index,
@@ -48,6 +51,29 @@ def wide_vocab_dir(tmp_path_factory):
     return d
 
 
+@pytest.fixture
+def readonly_vocab_dir(wide_vocab_dir, tmp_path, monkeypatch):
+    """A sidecar-free copy of the vocab whose IPC sidecar writes fail, as
+    in a read-only index directory, so every shard load takes the heap
+    fallback.  (Permission bits do not stop root, so the write itself is
+    made to fail.)"""
+    d = str(tmp_path / "readonly_vocab")
+    os.makedirs(d)
+    for f in os.listdir(wide_vocab_dir):
+        if f.endswith(".parquet") or f == SHARD_INDEX:
+            shutil.copy(os.path.join(wide_vocab_dir, f), d)
+    real_osfile = pa.OSFile
+
+    def osfile(path, mode="r"):
+        if "w" in mode and str(path).startswith(d):
+            raise PermissionError(13, "read-only index directory", str(path))
+        return real_osfile(path, mode)
+
+    monkeypatch.setattr(pa, "OSFile", osfile)
+    yield d
+    assert not any(f.endswith(".arrow") or ".tmp" in f for f in os.listdir(d))
+
+
 def _probe_all_shards(tab: ShardedTermTable):
     hits = 0
     for si in range(N_SHARDS):
@@ -71,9 +97,8 @@ def test_mmap_path_allocates_no_heap(wide_vocab_dir):
     assert delta < 256 * 1024, f"mmap path allocated {delta} heap bytes"
 
 
-def test_heap_path_allocates_payload(wide_vocab_dir, monkeypatch):
-    monkeypatch.setattr(termshards, "_MMAP_ON", False)
-    tab = ShardedTermTable(wide_vocab_dir, max_cached=N_SHARDS)
+def test_heap_path_allocates_payload(readonly_vocab_dir):
+    tab = ShardedTermTable(readonly_vocab_dir, max_cached=N_SHARDS)
     before = pa.total_allocated_bytes()
     hits = _probe_all_shards(tab)
     delta = pa.total_allocated_bytes() - before
@@ -81,10 +106,9 @@ def test_heap_path_allocates_payload(wide_vocab_dir, monkeypatch):
     assert delta > 1_000_000, f"heap path allocated only {delta} bytes"
 
 
-def test_mmap_and_heap_paths_identical(wide_vocab_dir, monkeypatch):
+def test_mmap_and_heap_paths_identical(wide_vocab_dir, readonly_vocab_dir):
     mm = ShardedTermTable(wide_vocab_dir, max_cached=4)
-    monkeypatch.setattr(termshards, "_MMAP_ON", False)
-    heap = ShardedTermTable(wide_vocab_dir, max_cached=4)
+    heap = ShardedTermTable(readonly_vocab_dir, max_cached=4)
     # spot lookups, ranks, ranges across shard boundaries
     for term in ("00term0000000", "11term0004999", "23term0002500", "zzz", "00aaa"):
         assert mm.index(term) == heap.index(term)

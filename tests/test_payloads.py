@@ -60,17 +60,15 @@ def test_payload_codec_roundtrip():
     assert got[0].tolist() == [0.25, 9.0]
 
 
-@pytest.fixture(scope="module")
-def payload_index(ray_session, tmp_path_factory):
+def _build_payload_index(root, docs):
     from lucene_solr_ray.index.build import build_index
 
-    root = tmp_path_factory.mktemp("payix")
     src = str(root / "docs.parquet")
     pq.write_table(
         pa.table(
             {
-                "doc_id": pa.array([d for d, _ in DOCS], type=pa.int64()),
-                "text": pa.array([t for _, t in DOCS], type=pa.string()),
+                "doc_id": pa.array([d for d, _ in docs], type=pa.int64()),
+                "text": pa.array([t for _, t in docs], type=pa.string()),
             }
         ),
         src,
@@ -86,6 +84,11 @@ def payload_index(ray_session, tmp_path_factory):
         resume=False,
     )
     return ix
+
+
+@pytest.fixture(scope="module")
+def payload_index(ray_session, tmp_path_factory):
+    return _build_payload_index(tmp_path_factory.mktemp("payix"), DOCS)
 
 
 def _scored(ix, q):
@@ -202,3 +205,45 @@ class TestParser:
 
         with pytest.raises(QueryParseError):
             self.P.parse("{!payload_score}a b")
+
+
+def test_expunged_payload_index_equals_fresh_build(payload_index, tmp_path):
+    """Expunge keeps the payloads: payload_score / payload_check over an
+    expunged index answer exactly as a fresh build over the surviving docs,
+    and its postings carry the fresh build's schema."""
+    import glob
+    import os
+    import shutil
+
+    from lucene_solr_ray.index.deletes import apply_deletes, expunge_deletes
+    from lucene_solr_ray.query.ast import PayloadCheckQ, PayloadScoreQ, TermQ
+
+    dead = {1, 4}
+    ix = str(tmp_path / "deleted")
+    shutil.copytree(payload_index, ix)
+    apply_deletes(ix, doc_ids=sorted(dead))
+    out = str(tmp_path / "expunged")
+    expunge_deletes(ix, out)
+    fresh = _build_payload_index(tmp_path, [d for d in DOCS if d[0] not in dead])
+
+    queries = [TermQ("apple")]
+    queries += [PayloadScoreQ("apple", func=f) for f in ("max", "min", "sum", "average")]
+    queries += [PayloadScoreQ("banana", func="max", include_span_score=True)]
+    queries += [
+        PayloadCheckQ(("apple", "banana"), (2.0, 0.5)),
+        PayloadCheckQ(("banana", "apple"), (3.0, 1.0)),
+        PayloadCheckQ(("apple",), (1.0,)),
+    ]
+    for q in queries:
+        got = _scored(out, q)
+        assert got == _scored(fresh, q), q
+        assert not set(got) & dead, q
+    assert _scored(out, PayloadScoreQ("apple", func="max")) == {0: 4.0, 2: 1.0}
+
+    def schemas(d):
+        files = glob.glob(os.path.join(d, "postings", "partition_id=*", "postings.parquet"))
+        return [pq.read_schema(f) for f in files]
+
+    want = schemas(fresh)[0]
+    assert "payloads" in want.names
+    assert all(s == want for s in schemas(out))

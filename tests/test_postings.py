@@ -159,3 +159,44 @@ def test_vbyte_full_uint64_range():
     out, off = _vbyte_decode(memoryview(buf), 0, len(vals))
     assert off == len(buf)
     assert (out == vals).all()
+
+
+@pytest.mark.parametrize(
+    "vmax", [(1 << 53) - 1, (1 << 53) + 1, (1 << 54) - 1, (1 << 64) - 1]
+)
+def test_for_block_packers_agree_past_float_precision(vmax):
+    """The batched FOR packer must pick the exact bit width on the full
+    uint64 domain: float log2 rounds m >= 2^53 up, which gave 2^54-1 a
+    55-bit block and 2^64-1 an invalid width byte of 65."""
+    from lucene_solr_ray.index.postings import _pack_for, _pack_for_blocks
+
+    block = np.arange(BLOCK, dtype=np.uint64)
+    block[BLOCK // 2] = np.uint64(vmax)
+    ref = _pack_for(block)
+    widths, out, offs = _pack_for_blocks(block[None, :])
+    assert int(widths[0]) == vmax.bit_length() == ref[0]
+    assert out[int(offs[0]) : int(offs[1])].tobytes() == ref
+
+
+def test_offsets_past_int32_raise():
+    """Binary/list columns keep pa.binary()'s int32 offsets, so a partition
+    column past 2 GiB must fail loudly, naming the column, instead of
+    wrapping into a corrupt column."""
+    from lucene_solr_ray.index.postings import _int32_offsets
+
+    ok = _int32_offsets(np.array([0, 5, (1 << 31) - 1], dtype=np.int64), "docs")
+    assert ok.dtype == np.int32 and int(ok[-1]) == (1 << 31) - 1
+    with pytest.raises(ValueError, match="'positions'"):
+        _int32_offsets(np.array([0, 7, 1 << 31], dtype=np.int64), "positions")
+
+
+def test_no_cells_keeps_the_column_types():
+    from lucene_solr_ray.index.postings import encode_cells_columns
+
+    one = encode_cells_columns(np.array([0]), np.array([3]), np.array([2]),
+                               np.array([1.0], dtype=np.float32), np.array([1, 4]))
+    none = encode_cells_columns(np.array([], dtype=np.int64), np.array([], dtype=np.int64),
+                                np.array([], dtype=np.int64), np.array([], dtype=np.float32),
+                                np.array([], dtype=np.int64))
+    assert list(none) == list(one)
+    assert all(len(v) == 0 and v.type == one[k].type for k, v in none.items())

@@ -95,3 +95,23 @@ def test_union_rejects_config_mismatch(ray_session, tmp_path):
     build_index(files, b, rows_per_partition=128)
     with pytest.raises(ValueError):
         union_indexes([a, b], os.path.join(root, "u"))
+
+
+def test_union_terms_global_files_equal_full_build(union_setup):
+    """The union sums its members' dictionaries with the build's own
+    terms_global writer: shard files (names and bytes) and the shard index
+    are identical to the full build's."""
+    import glob
+    import hashlib
+
+    def tg_files(ix):
+        d = os.path.join(ix, "terms_global")
+        names = sorted(os.path.basename(f) for f in glob.glob(os.path.join(d, "*.parquet")))
+        names.append("_shard_index.json")
+        out = {}
+        for n in names:
+            with open(os.path.join(d, n), "rb") as fh:
+                out[n] = hashlib.sha256(fh.read()).hexdigest()
+        return out
+
+    assert tg_files(union_setup["union"]) == tg_files(union_setup["full"])

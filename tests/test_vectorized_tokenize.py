@@ -116,16 +116,26 @@ def test_no_positions_variant():
 
 # ---- hypothesis: arbitrary unicode, fast path == row loop -------------------
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 _any_texts = st.lists(
     st.one_of(st.none(), st.text(max_size=200)), min_size=1, max_size=30
 )
 
+# the Arrow chunk scan's hard cases, always run: mid-punct glue at chunk
+# edges, mixed scripts, and an over-length token after a glue char
+_GLUE_TEXTS = [
+    "Hello, world! can't stop 3,000.5 foo.bar O'Brien's",
+    "...,;'’· edge '' ’x’ x’ ’x .5 5. a·b a··b",
+    "中文カタカナひらがな한국어 mixed漢words",
+    "trailing. .leading mid.dle 1,2,3 a.b.c x" + "y" * 300,
+]
+
 
 @settings(max_examples=150, deadline=None)
 @given(_any_texts)
+@example(_GLUE_TEXTS)
 def test_hypothesis_standard_parity(texts):
     terms_l, tfs_l, pos_l, dl = _vectorized_postings_columns(texts, "standard", True)
     e_terms, e_tfs, e_pos, e_dl = _rowloop_reference(texts, "standard", True)
@@ -137,6 +147,7 @@ def test_hypothesis_standard_parity(texts):
 
 @settings(max_examples=150, deadline=None)
 @given(_any_texts)
+@example(_GLUE_TEXTS)
 def test_hypothesis_simple_parity(texts):
     terms_l, tfs_l, pos_l, dl = _vectorized_postings_columns(texts, "simple", True)
     e_terms, e_tfs, e_pos, e_dl = _rowloop_reference(texts, "simple", True)
@@ -146,41 +157,48 @@ def test_hypothesis_simple_parity(texts):
     assert dl.tolist() == e_dl
 
 
-# ---- Arrow re2 chunk scan == per-doc findall scan (stream level) ------------
+# ---- Arrow re2 chunk scan == row-loop token stream (stream level) -----------
 
-from lucene_solr_ray.stages.tokenize import _scan_stream_arrow, _scan_stream_findall
+from lucene_solr_ray.stages.tokenize import _scan_stream_arrow
+
+
+def _rowloop_stream(texts, analyzer):
+    """The row loop's post-filter token stream: ``(terms, doc, pos, dl)`` in
+    (doc, pos) order, rebuilt from the per-doc ``{term: [positions]}``."""
+    from lucene_solr_ray.stages.tokenize import postings_analyzer
+
+    fn = postings_analyzer(analyzer)
+    terms, docs, poss, dls = [], [], [], []
+    for d, t in enumerate(texts):
+        per, n = fn(t) if t else ({}, 0)
+        toks = sorted((p, term) for term, ps in per.items() for p in ps)
+        terms.extend(term for _, term in toks)
+        docs.extend([d] * len(toks))
+        poss.extend(p for p, _ in toks)
+        dls.append(n)
+    return terms, docs, poss, dls
+
+
+def _assert_arrow_stream_matches_rowloop(texts, analyzer):
+    codes, dictionary, f_doc, f_pos, dl = _scan_stream_arrow(texts, analyzer)
+    e_terms, e_doc, e_pos, e_dl = _rowloop_stream(texts, analyzer)
+    a_terms = (
+        dictionary.take(pa.array(codes)).to_pylist() if codes is not None else []
+    )
+    assert dl.tolist() == e_dl
+    assert a_terms == e_terms
+    assert f_doc.tolist() == e_doc
+    assert f_pos.tolist() == e_pos
 
 
 @settings(max_examples=150, deadline=None)
 @given(_any_texts)
 def test_hypothesis_arrow_scan_stream_parity(texts):
-    """The two scan front ends must emit the SAME post-filter token stream
-    (term string, doc, pos) — dictionaries may order codes differently."""
+    """The Arrow scan must emit the row loop's post-filter token stream
+    (term string, doc, pos) — the dictionary may order codes differently."""
     for analyzer in ("standard", "simple"):
-        a = _scan_stream_arrow(texts, analyzer)
-        f = _scan_stream_findall(texts, analyzer)
-        assert a[4].tolist() == f[4].tolist()  # dl
-        a_terms = (
-            a[1].take(pa.array(a[0])).to_pylist() if a[0] is not None else []
-        )
-        f_terms = (
-            f[1].take(pa.array(f[0])).to_pylist() if f[0] is not None else []
-        )
-        assert a_terms == f_terms
-        assert a[2].tolist() == f[2].tolist()  # doc
-        assert a[3].tolist() == f[3].tolist()  # pos
+        _assert_arrow_stream_matches_rowloop(texts, analyzer)
 
 
 def test_arrow_scan_mixed_script_and_glue():
-    texts = [
-        "Hello, world! can't stop 3,000.5 foo.bar O'Brien's",
-        "...,;'’· edge '' ’x’ x’ ’x .5 5. a·b a··b",
-        "中文カタカナひらがな한국어 mixed漢words",
-        "trailing. .leading mid.dle 1,2,3 a.b.c x" + "y" * 300,
-    ]
-    a = _scan_stream_arrow(texts, "standard")
-    f = _scan_stream_findall(texts, "standard")
-    assert a[4].tolist() == f[4].tolist()
-    assert a[1].take(pa.array(a[0])).to_pylist() == f[1].take(pa.array(f[0])).to_pylist()
-    assert a[2].tolist() == f[2].tolist()
-    assert a[3].tolist() == f[3].tolist()
+    _assert_arrow_stream_matches_rowloop(_GLUE_TEXTS, "standard")
