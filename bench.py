@@ -198,6 +198,28 @@ def run_bench() -> dict:
         t0 = time.time()
         s.search(MatchAllQ(), k=10, facet_fields=("host", "links_sim"), facet_limit=100, facet_mincount=1)
         timings["facet_all"] = time.time() - t0
+
+        # commit cost, beside the fan-out ping floor: tombstone 1% of the
+        # live docs, open a searcher over the commit (it reuses the live
+        # actors, which reload only the tombstones), first answer; median
+        # of three cycles
+        from lucene_solr_ray.index.deletes import apply_deletes
+
+        live = pq.read_table(os.path.join(ix_pages, "docmap"), columns=["doc_id"])
+        live = np.asarray(live["doc_id"], dtype=np.int64)
+        rng = np.random.default_rng(0)
+        reopen = []
+        for _ in range(3):
+            dead = rng.choice(live, size=max(1, len(live) // 100), replace=False)
+            live = np.setdiff1d(live, dead)
+            apply_deletes(ix_pages, doc_ids=dead)
+            t1 = time.perf_counter()
+            s2 = RayIndexSearcher(ix_pages, num_actors=max(2, NUM_CPUS // 4))
+            s2.search(qs[0], k=10)
+            reopen.append(time.perf_counter() - t1)
+            s.shutdown()
+            s = s2
+        extra["searcher_reopen_ms"] = round(statistics.median(reopen) * 1000, 2)
     finally:
         s.shutdown()
 

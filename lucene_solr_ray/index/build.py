@@ -115,22 +115,49 @@ def _read_sized(paths, columns=None) -> "rd.Dataset":
     count: many small input files are coalesced into ~2 blocks/CPU (capped so
     a block stays under ~256 MiB on disk).  Small-task scheduling overhead
     otherwise dominates wall time at low parallelism and wrecks scaling
-    efficiency; at real scale the byte cap keeps blocks bounded."""
-    import glob as _g
+    efficiency; at real scale the byte cap keeps blocks bounded.
 
-    if isinstance(paths, str):
-        flist = (
-            _g.glob(os.path.join(paths, "**", "*.parquet"), recursive=True)
-            if os.path.isdir(paths)
-            else [paths]
-        )
-    else:
-        flist = list(paths)
-    total = sum(os.path.getsize(f) for f in flist if os.path.exists(f))
+    Hive columns come only from directories below each input root (the
+    :func:`_hive_cols` rule, shared with :func:`_read_fused`).  Ray parses
+    hive directories below one ``base_dir`` per read, so each root that has
+    any is read with itself as the base, and every other file in one read
+    based at their common directory — or one read per directory, when that
+    base would parse a column the caller reads (Ray's reader fails on
+    ``partitioning=None`` with ``columns``, so there is always a base)."""
+    from ray.data.datasource import Partitioning
+
+    pairs = _parquet_files_by_root(paths)
+    if not pairs:
+        return rd.read_parquet(paths, columns=columns)
+    groups: "dict[str, list[str]]" = {}
+    plain = []
+    for f, root in pairs:
+        if _hive_cols(f, root):
+            groups.setdefault(root, []).append(f)
+        else:
+            plain.append(f)
+    if plain:
+        base = os.path.commonpath([os.path.abspath(os.path.dirname(f)) for f in plain])
+        leaked = {k for f in plain for k, _ in _hive_cols(f, base)}
+        if columns is not None:
+            leaked &= set(columns)
+        if not leaked:
+            groups[base] = plain
+        else:
+            for f in plain:
+                groups.setdefault(os.path.dirname(f) or ".", []).append(f)
+    total = sum(os.path.getsize(f) for f, _ in pairs)
     cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
     nb = max(cpus * 2, (total // (256 << 20)) + 1)
-    nb = min(nb, max(1, len(flist) * 4))
-    return rd.read_parquet(paths, columns=columns, override_num_blocks=int(nb))
+    nb = min(nb, max(1, len(pairs) * 4))
+    reads = [
+        rd.read_parquet(
+            files, columns=columns, partitioning=Partitioning("hive", base_dir=base),
+            override_num_blocks=max(1, nb * len(files) // len(pairs)),
+        )
+        for base, files in groups.items()
+    ]
+    return reads[0].union(*reads[1:]) if len(reads) > 1 else reads[0]
 
 
 def _read_fused(paths, columns=None, transform=None, target_bytes=None) -> "rd.Dataset":
@@ -153,16 +180,15 @@ def _read_fused(paths, columns=None, transform=None, target_bytes=None) -> "rd.D
     Chunks target ~128 MB uncompressed so a task never holds a whole giant
     file; the driver keeps only O(chunks) path/range metadata (~100 MB at
     100 TB — bounded, never row data)."""
-    flist = _expand_parquet_paths(paths)
     metas = []
     grand_total = 0
-    for f in flist:
+    for f, root in _parquet_files_by_root(paths):
         md = pq.ParquetFile(f).metadata
         nrg = md.num_row_groups
         if nrg == 0:
             continue
         total = sum(md.row_group(i).total_byte_size for i in range(nrg))
-        metas.append((f, nrg, total))
+        metas.append((f, root, nrg, total))
         grand_total += total
     # chunk target: ~128 MB, shrunk so the scan still yields a few tasks
     # per core (hive checkpoints are hundreds of ~1-3 MB files — one task
@@ -174,29 +200,30 @@ def _read_fused(paths, columns=None, transform=None, target_bytes=None) -> "rd.D
     else:
         target = int(target_bytes)
     items = []
-    group: "dict[str, list]" = {"paths": [], "los": [], "his": []}
+    group: "dict[str, list]" = {"paths": [], "roots": [], "los": [], "his": []}
     group_bytes = 0
 
     def _flush():
         nonlocal group, group_bytes
         if group["paths"]:
             items.append(group)
-        group = {"paths": [], "los": [], "his": []}
+        group = {"paths": [], "roots": [], "los": [], "his": []}
         group_bytes = 0
 
-    for f, nrg, total in metas:
+    for f, root, nrg, total in metas:
         if total > target:
             # big file: its own range-split items
             _flush()
             per = max(1, int(nrg * target / max(1, total)))
             for lo in range(0, nrg, per):
                 items.append(
-                    {"paths": [f], "los": [lo], "his": [min(nrg, lo + per)]}
+                    {"paths": [f], "roots": [root], "los": [lo], "his": [min(nrg, lo + per)]}
                 )
             continue
         if group_bytes + total > target:
             _flush()
         group["paths"].append(f)
+        group["roots"].append(root)
         group["los"].append(0)
         group["his"].append(nrg)
         group_bytes += total
@@ -206,25 +233,15 @@ def _read_fused(paths, columns=None, transform=None, target_bytes=None) -> "rd.D
         return ds.map_batches(transform, batch_format="pyarrow") if transform else ds
     cols = list(columns) if columns else None
 
-    def _hive_cols(path: str) -> "list[tuple[str, str]]":
-        # hive-partitioned inputs (e.g. the tokenized checkpoint) carry
-        # partition columns in DIRECTORY names, not in the files — rebuild
-        # them like rd.read_parquet does (int64 when integral, else string)
-        out = []
-        for seg in path.split(os.sep)[:-1]:
-            if "=" in seg:
-                k, _, v = seg.partition("=")
-                out.append((k, v))
-        return out
-
     def read_chunk(b: pa.Table) -> pa.Table:
         parts = []
         for i in range(b.num_rows):
             paths_i = b["paths"][i].as_py()
+            roots_i = b["roots"][i].as_py()
             los_i = b["los"][i].as_py()
             his_i = b["his"][i].as_py()
-            for path, lo, hi in zip(paths_i, los_i, his_i):
-                hive = _hive_cols(path)
+            for path, root, lo, hi in zip(paths_i, roots_i, los_i, his_i):
+                hive = _hive_cols(path, root)
                 hive_names = {k for k, _ in hive}
                 file_cols = (
                     [c for c in cols if c not in hive_names]
@@ -252,22 +269,38 @@ def _read_fused(paths, columns=None, transform=None, target_bytes=None) -> "rd.D
     )
 
 
-def _expand_parquet_paths(paths) -> "list[str]":
-    """Resolve a path / dir / mixed list into a sorted parquet-file list
-    (directory entries are expanded recursively, matching what
-    ``rd.read_parquet`` accepts)."""
+def _parquet_files_by_root(paths) -> "list[tuple[str, str]]":
+    """Resolve a path / dir / mixed list into sorted ``(file, root)`` pairs:
+    a directory entry is expanded recursively (matching what
+    ``rd.read_parquet`` accepts) and is the root of every file under it; a
+    file entry's root is its own directory."""
     import glob as _g
 
     entries = [paths] if isinstance(paths, str) else list(paths)
-    flist: list[str] = []
+    pairs: list[tuple[str, str]] = []
     for e in entries:
         if os.path.isdir(e):
-            flist.extend(
-                _g.glob(os.path.join(e, "**", "*.parquet"), recursive=True)
+            pairs.extend(
+                (f, e) for f in _g.glob(os.path.join(e, "**", "*.parquet"), recursive=True)
             )
         else:
-            flist.append(e)
-    return sorted(flist)
+            pairs.append((e, os.path.dirname(e) or "."))
+    return sorted(pairs)
+
+
+def _expand_parquet_paths(paths) -> "list[str]":
+    """The sorted parquet-file list of a path / dir / mixed list."""
+    return [f for f, _ in _parquet_files_by_root(paths)]
+
+
+def _hive_cols(path: str, root: str) -> "list[tuple[str, str]]":
+    """Hive partition columns of ``path`` from the ``key=value`` directory
+    names BELOW its input ``root`` (e.g. the tokenized checkpoint's
+    ``partition_id=N``), never from the root's ancestors.  The reader turns
+    them into columns like ``rd.read_parquet`` does (int64 when integral,
+    else string)."""
+    rel = os.path.relpath(os.path.dirname(path) or ".", root)
+    return [tuple(seg.split("=")) for seg in rel.split(os.sep) if seg.count("=") == 1]
 
 
 def _input_schema_names(paths) -> "set[str]":

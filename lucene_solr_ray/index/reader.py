@@ -23,6 +23,7 @@ search (:mod:`.termdict`) — no Python dict/list materialization at load:
 
 from __future__ import annotations
 
+import copy
 import glob
 import json
 import os
@@ -98,7 +99,8 @@ class GlobalStats:
             if t_dict is not None:
                 self.dicts[f] = SortedStrings(t_dict["value"])
         # live-docs tombstones (deleteDocuments analog): loaded ONCE at
-        # reader open — point-in-time semantics, reopen to observe deletes
+        # reader open — point-in-time semantics, reopen to observe deletes.
+        # The only tombstone-dependent state here: reopen() replaces it
         from .deletes import load_deleted
 
         self.deleted = load_deleted(index_dir)
@@ -109,6 +111,17 @@ class GlobalStats:
             p["partition_id"]: p.get("member") for p in self.manifest["partitions"]
         }
         self._ordmaps: dict[tuple, np.ndarray | None] = {}
+
+    def reopen(self, deleted: np.ndarray | None = None) -> "GlobalStats":
+        """A new point-in-time view of the same commit: every loaded
+        structure (term table and its shard LRU, facet dictionaries,
+        ordinal maps) is shared, only the tombstones are replaced —
+        ``deleted`` (sorted unique doc ids) or the current ``livedocs/``."""
+        from .deletes import load_deleted
+
+        view = copy.copy(self)
+        view.deleted = load_deleted(self.index_dir) if deleted is None else deleted
+        return view
 
     def root_for(self, pid: int) -> str:
         mi = self._member_of.get(pid)
@@ -288,6 +301,8 @@ class IndexPartition(TermSource):
             self._tdict = SortedStrings(pa.array([], type=pa.string()))
             self._tcols = {}
         self._cell_cache: dict[str, dict | None] = {}
+        self._live_rows_cache: np.ndarray | None = None
+        self._valid_counts: dict[str, np.ndarray] = {}
 
         dfiles = _partition_files(os.path.join(index_dir, "docmap"), pid)
         dm = pq.read_table(dfiles).combine_chunks()
@@ -327,6 +342,17 @@ class IndexPartition(TermSource):
             else:
                 self.columns[name] = col  # Arrow string column (url, host, ...)
 
+    def reopen(self, stats: GlobalStats) -> "IndexPartition":
+        """This partition under ``stats``' tombstones (a reopened
+        :class:`GlobalStats` of the same commit): term columns, cell LRU,
+        docmap and doc-values columns are shared with this reader; only the
+        live-docs state is new (the shared-core ``SegmentReader`` reopen)."""
+        view = copy.copy(self)
+        view.stats = stats
+        view.deleted = stats.deleted
+        view._live_rows_cache = None
+        return view
+
     # -- cell lookup ----------------------------------------------------------
 
     def cell(self, key: str) -> dict | None:
@@ -358,7 +384,7 @@ class IndexPartition(TermSource):
 
     def _live_rows(self) -> np.ndarray:
         """Boolean live mask over this partition's rows (cached)."""
-        m = getattr(self, "_live_rows_cache", None)
+        m = self._live_rows_cache
         if m is None:
             from .deletes import mask_deleted
 
@@ -572,9 +598,7 @@ class IndexPartition(TermSource):
             return int((self.columns[field + "_ord"][idx] < 0).sum())
         if field + "_ords" in self._list_flat:
             # per-row valid-value counts are query-independent: compute once
-            cache = getattr(self, "_valid_counts", None)
-            if cache is None:
-                cache = self._valid_counts = {}
+            cache = self._valid_counts
             if field not in cache:
                 flat, row_of = self._list_flat[field + "_ords"]
                 cache[field] = np.bincount(row_of[flat >= 0], minlength=len(self.doc_ids))

@@ -4,11 +4,17 @@ Ray re-expression of the reference's distributed search
 (`solr/core/src/java/org/apache/solr/handler/component/QueryComponent.java:627-658`
 scatter/gather state machine):
 
-* A pool of :class:`SegmentSearcher` actors, each owning a disjoint set of
-  index partitions loaded once in ``__init__`` (the ``SolrIndexSearcher`` +
-  cache analog, `SolrIndexSearcher.java:143-152`).  Raw actors (not a Dataset
-  stage) because the index is long-lived shared state queried many times —
-  the one place the Dataset API genuinely can't express the semantics.
+* A pool of actors, each owning a disjoint set of index partitions loaded
+  once (the ``SolrIndexSearcher`` + cache analog,
+  `SolrIndexSearcher.java:143-152`).  Raw actors (not a Dataset stage)
+  because the index is long-lived shared state queried many times — the one
+  place the Dataset API genuinely can't express the semantics.
+* Reopen shares the pool: a searcher opened while another searcher of this
+  driver is live on the same commit (same manifest) with the same pool shape
+  reuses its actors, which add one :class:`SegmentSearcher` view with the
+  current tombstones over the partitions they already hold — Solr's commit
+  reopening from the current reader, with Lucene's reopened
+  ``SegmentReader`` sharing the segment core and loading only liveDocs.
 * ``STAGE_EXECUTE_QUERY``: every actor returns its top-(offset+k)
   ``(score, doc_id)`` plus facet counts; the driver merges with the total
   order ``(score desc, doc_id asc)`` (`ShardDoc.java:101-142` merge queue,
@@ -23,6 +29,13 @@ scatter/gather state machine):
 """
 
 from __future__ import annotations
+
+import copy
+import hashlib
+import os
+import threading
+import types
+import weakref
 
 import numpy as np
 
@@ -102,8 +115,11 @@ def _conjunction_eligible(query):
 class SegmentSearcher:
     """Owns a set of partitions; executes queries against each and combines.
 
-    Instantiate directly for in-process use, or via ``as_actor`` for the
-    distributed pool.
+    Instantiate directly for in-process use; the distributed pool holds one
+    per actor (:class:`_SearcherHost`) plus one :meth:`reopen` view per
+    driver searcher sharing it.  Tombstone-dependent state lives only on the
+    view (``stats.deleted``, each partition's live mask, ``_has_deletes``);
+    everything else is shared with the views reopened from it.
     """
 
     # ordinal spaces at least this large use the NPlane packed counter on the
@@ -120,6 +136,17 @@ class SegmentSearcher:
         # deleted docs; Lucene's scorers consult liveDocs per-iteration —
         # here the exhaustive path masks at the postings level instead)
         self._has_deletes = bool(len(self.stats.deleted))
+
+    def reopen(self, deleted: np.ndarray | None = None) -> "SegmentSearcher":
+        """A new point-in-time view over the same loaded partitions with the
+        tombstones ``deleted`` (sorted unique doc ids; default: the index's
+        current ``livedocs/``).  Facet maxima (upper bounds over every row)
+        and the counter pool do not depend on tombstones and are shared."""
+        view = copy.copy(self)
+        view.stats = self.stats.reopen(deleted)
+        view.parts = [p.reopen(view.stats) for p in self.parts]
+        view._has_deletes = bool(len(view.stats.deleted))
+        return view
 
     def _field_maxima(self, field: str, n_ords: int) -> np.ndarray:
         """Per-ordinal count upper bounds for THIS actor's partitions (=
@@ -453,27 +480,130 @@ def _merge_shard_topk(shard_topks: list[list], k: int, offset: int = 0) -> list:
     return merged[offset : offset + k]
 
 
+class _SearcherHost:
+    """One pool actor: the partitions it loaded, as one SegmentSearcher view
+    per driver searcher using the actor (view 0 is the cold open)."""
+
+    def __init__(self, index_dir: str, partition_ids: list[int]):
+        self.views = {0: SegmentSearcher(index_dir, partition_ids)}
+
+    def reopen(self, view: int, deleted: np.ndarray) -> None:
+        self.views[view] = next(iter(self.views.values())).reopen(deleted)
+
+    def close(self, view: int) -> None:
+        self.views.pop(view, None)
+
+    def call(self, request: tuple):
+        view, method, args, kwargs = request
+        return getattr(self.views[view], method)(*args, **kwargs)
+
+
 def _to_actor(num_cpus: float = 1):
-    return ray.remote(num_cpus=num_cpus)(SegmentSearcher)
+    return ray.remote(num_cpus=num_cpus)(_SearcherHost)
+
+
+class _ActorView:
+    """A driver searcher's handle on one pool actor: ``v.search.remote(...)``
+    (any SegmentSearcher method) runs on that searcher's view; ``actor`` is
+    the shared Ray actor handle.
+
+    The call travels as ONE request tuple: Ray serializes every top-level
+    argument on its own, and a 2-actor ``search`` fan-out with the driver's
+    seven arguments measured 3.9 CPU-ms that way vs 3.0 as one tuple
+    (4-vCPU VM).  Ray resolves no ObjectRef inside the tuple."""
+
+    def __init__(self, actor, view: int):
+        self.actor, self.view = actor, view
+
+    def __getattr__(self, method: str):
+        if method.startswith("__"):
+            raise AttributeError(method)
+        call = self.actor.call.remote
+        view = self.view
+        return types.SimpleNamespace(
+            remote=lambda *args, **kwargs: call((view, method, args, kwargs))
+        )
+
+
+# Live actor pools of this driver by (index realpath, manifest digest, actor
+# count, actor CPUs, Ray node).  Values are weak: the searchers using a pool
+# hold it, so a pool (and the actors and CPUs it holds) never outlives them.
+_POOLS: "weakref.WeakValueDictionary[tuple, _ActorPool]" = weakref.WeakValueDictionary()
+_POOLS_LOCK = threading.RLock()  # re-entrant: a finalizer may run in GC
+
+
+class _ActorPool:
+    """Actors loaded with one commit's partitions, and the open views."""
+
+    def __init__(self, key: tuple, actors: list, stats: GlobalStats):
+        self.key, self.actors, self.stats = key, actors, stats
+        self.views = {0}
+        self._next_view = 1
+
+    def open_view(self, deleted: np.ndarray) -> int:
+        """Add a view with ``deleted`` on every actor (caller holds the lock,
+        so the RPC is ordered after every earlier open and close)."""
+        view, self._next_view = self._next_view, self._next_view + 1
+        self.views.add(view)
+        ref = ray.put(deleted)
+        for a in self.actors:
+            a.reopen.remote(view, ref)
+        return view
+
+    def release(self, view: int) -> None:
+        """Close ``view``; the last one out kills the actors."""
+        with _POOLS_LOCK:
+            if view not in self.views:
+                return
+            self.views.remove(view)
+            if not ray.is_initialized():
+                return
+            if self.views:
+                for a in self.actors:
+                    a.close.remote(view)
+                return
+            if _POOLS.get(self.key) is self:
+                del _POOLS[self.key]
+        for a in self.actors:
+            ray.kill(a)
 
 
 class RayIndexSearcher:
-    """Driver-side scatter/gather over the SegmentSearcher actor pool."""
+    """Driver-side scatter/gather over the segment actor pool."""
 
     def __init__(self, index_dir: str, num_actors: int = 4, actor_cpus: float = 1):
         self.index_dir = index_dir
-        self.stats = GlobalStats(index_dir)
-        pids = [p["partition_id"] for p in self.stats.manifest["partitions"]]
-        num_actors = max(1, min(num_actors, len(pids)))
-        assign: list[list[int]] = [[] for _ in range(num_actors)]
-        for i, pid in enumerate(pids):
-            assign[i % num_actors].append(pid)
-        cls = _to_actor(actor_cpus)
-        self.actors = [cls.remote(index_dir, pids_i) for pids_i in assign]
+        with open(os.path.join(index_dir, "manifest.json"), "rb") as f:
+            commit = hashlib.sha256(f.read()).hexdigest()
+        key = (
+            os.path.realpath(index_dir), commit, num_actors, actor_cpus,
+            ray.get_runtime_context().get_node_id(),
+        )
+        view = None
+        with _POOLS_LOCK:
+            pool = _POOLS.get(key)
+            if pool is not None and pool.views:
+                self.stats = pool.stats.reopen()
+                view = pool.open_view(self.stats.deleted)
+        if view is None:
+            self.stats = GlobalStats(index_dir)
+            pids = [p["partition_id"] for p in self.stats.manifest["partitions"]]
+            num_actors = max(1, min(num_actors, len(pids)))
+            assign: list[list[int]] = [[] for _ in range(num_actors)]
+            for i, pid in enumerate(pids):
+                assign[i % num_actors].append(pid)
+            cls = _to_actor(actor_cpus)
+            pool = _ActorPool(key, [cls.remote(index_dir, p) for p in assign], self.stats)
+            view = 0
+            with _POOLS_LOCK:
+                _POOLS[key] = pool
+        self.actors = [_ActorView(a, view) for a in pool.actors]
+        # a searcher dropped without shutdown() still closes its view
+        self._release = weakref.finalize(self, pool.release, view)
+        self._release.atexit = False
 
     def shutdown(self):
-        for a in self.actors:
-            ray.kill(a)
+        self._release()
         self.actors = []
 
     def rerank(self, query, rerank_query, k: int = 10, rerank_docs: int = 50,
@@ -563,7 +693,8 @@ class RayIndexSearcher:
         editorially pinned docs first, in the GIVEN order, then organic
         results with the pinned ids deduplicated out."""
         res = self.search(query, k=k + len(elevated_ids))
-        organic = [(s, d) for s, d in res["topk"] if d not in set(elevated_ids)]
+        pinned_ids = set(elevated_ids)
+        organic = [(s, d) for s, d in res["topk"] if d not in pinned_ids]
         scores = {d: s for s, d in res["topk"]}
         pinned = [(scores.get(d, 0.0), d) for d in elevated_ids]
         return (pinned + organic)[:k]

@@ -113,3 +113,72 @@ def test_postings_rg_rows_bands():
     # >= ~16 groups whenever the file is big enough to matter
     for n in (16_384, 160_000, 1_000_000, 50_000_000):
         assert n // _postings_rg_rows(n) >= 15
+
+
+def _index_digest(index_dir):
+    """Digest of an index's content: Ray's per-write file names, the stage
+    markers' timings and the manifest's input paths and lineage left out."""
+    import hashlib
+    import json
+
+    entries = []
+    for d, _, fs in os.walk(index_dir):
+        for f in fs:
+            if f.startswith("_stage_"):
+                continue
+            path = os.path.join(d, f)
+            with open(path, "rb") as fh:
+                blob = fh.read()
+            if f == "manifest.json":
+                m = json.loads(blob)
+                m.pop("lineage"), m.pop("fingerprint")
+                blob = json.dumps(m, sort_keys=True).encode()
+            name = "*.parquet" if f.endswith(".parquet") and "_" in f else f
+            entries.append(f"{os.path.relpath(d, index_dir)}/{name}:{hashlib.sha256(blob).hexdigest()}")
+    return sorted(entries)
+
+
+def test_hive_columns_only_below_the_input_root(ray_session, tmp_path):
+    """An ancestor directory named like a hive partition (``run=3``) grows
+    no column in either reader, while ``key=value`` directories below a
+    directory input still do; both readers agree, and the index built
+    there equals the same corpus built elsewhere."""
+    import ray
+
+    from lucene_solr_ray.fixtures import write_pages_parquet
+    from lucene_solr_ray.index.build import _read_fused, _read_sized, build_index
+
+    def rows(ds):
+        t = pa.concat_tables(ray.get(ds.materialize().to_arrow_refs()))
+        return sorted(t.column_names), sorted(map(str, t.to_pylist()))
+
+    base = tmp_path / "run=3" / "corpus"
+    base.mkdir(parents=True)
+    files = []
+    for fi in range(2):
+        t = pa.table({"doc_id": pa.array(range(fi * 50, fi * 50 + 50), type=pa.int64())})
+        files.append(str(base / f"part-{fi}.parquet"))
+        pq.write_table(t, files[-1])
+    for src in (files, str(base), [str(base)], files[0]):
+        fused, sized = rows(_read_fused(src)), rows(_read_sized(src))
+        assert fused[0] == ["doc_id"], src
+        assert fused == sized, src
+
+    ck = tmp_path / "run=3" / "ck"
+    (ck / "partition_id=7").mkdir(parents=True)
+    pq.write_table(pa.table({"doc_id": pa.array([1, 2], type=pa.int64())}),
+                   str(ck / "partition_id=7" / "x.parquet"))
+    fused = pa.concat_tables(ray.get(_read_fused(str(ck)).materialize().to_arrow_refs()))
+    sized = _read_sized(str(ck)).take_all()
+    assert sorted(fused.column_names) == sorted(sized[0]) == ["doc_id", "partition_id"]
+    assert {str(v) for v in fused["partition_id"].to_pylist()} == {
+        str(r["partition_id"]) for r in sized
+    } == {"7"}
+
+    digests = []
+    for where in ("run=3", "plain"):
+        pages = write_pages_parquet(str(tmp_path / where / "pages"), 120, n_files=2)
+        ix = str(tmp_path / where / "ix")
+        build_index(pages, ix, rows_per_partition=64)
+        digests.append(_index_digest(ix))
+    assert digests[0] == digests[1]
